@@ -6,11 +6,45 @@ residual add, spatial crop and mean, a linear layer, softmax
 cross-entropy, plus a few elementwise helpers used by analyses and
 tests.
 
-Storage is float32 (float64 leaves are supported for verification
-runs); every reduction - conv inner products, means, variances,
-weighted sums - accumulates in float64 before casting back. An op that
-produces a non-finite value raises NumericalError instead of letting
-NaN/Inf flow downstream.
+Precision policy. Tensors store float32; float64 leaves are supported
+for verification runs and keep every op in float64 end to end (the
+float64 gradient checks of criterion 6). In float32, elementwise math
+and the three conv GEMMs (forward, input gradient, per-image weight
+gradient) run in float32, with no float64 copies of the operands.
+float64 is kept only for these reductions, each named with the gate it
+protects:
+
+- batch-norm per-channel mean and variance (two-pass: the squared
+  float32 deviations are summed), and the backward sums `sum(g)` and
+  `sum(g * xhat)`: a float32 sum over N*H*W values loses the digits of
+  a channel with a large offset; criterion 6 (float32 gradient checks)
+  and the offset-channel precision test in tests/test_autodiff.py;
+- the running-stat update ([C] values): eval-mode batch norm, which
+  every analysis criterion (1-5, 8-10) reads, stays one float32
+  rounding away from the batch statistics;
+- the conv weight-gradient sum over the batch: criterion 6 (the
+  float32 gradient check of every parameter of an end-to-end net);
+- `spatial_mean`: the image logit is the mean of the location logits;
+  criterion 1 (oracle gap <= 1e-4), criterion 2 (linearity interchange
+  <= 1e-4) and criterion 5 (scramble delta < 1e-5, which needs the mean
+  to be insensitive to location order);
+- `linear` and softmax / cross-entropy: criterion 6 (loss gradients)
+  and criterion 10 (IG completeness compares summed attributions with
+  a logit difference);
+- `weighted_sum` and `sum_all`: criterion 6 (every finite-difference
+  check reduces through `weighted_sum`);
+- the evidence einsum in model.py and interpret.py: criteria 1 and 2.
+
+Per-channel constants (inverse std, eval-mode scale and shift) are
+formed in float64; the normalized input of train-mode batch norm is
+rounded to float32 once, from its float32 deviation times the float64
+inverse std. In eval mode batch norm is the per-channel affine map
+x * scale + shift.
+
+An op that produces a non-finite value raises NumericalError instead of
+letting NaN/Inf flow downstream. The ops, the backward pass and the
+optimizer step run with numpy's overflow / invalid warnings silenced,
+so NumericalError is the one report of a non-finite value.
 
 Convolution runs as im2col + matrix multiply. The naive six-loop
 reference convolution it is validated against lives with the tests,
@@ -43,6 +77,10 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 _node_ids = itertools.count()
 
 
+# decorator: no numpy floating-point warnings inside; _check_finite reports
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
 def _check_finite(arr: np.ndarray, op: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NumericalError(f"non-finite values produced by op '{op}'")
@@ -59,6 +97,7 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "op", "parents", "node_id", "_backward")
 
+    @_quiet
     def __init__(self, data, requires_grad: bool = False, dtype=np.float32):
         if dtype not in _FLOAT_DTYPES:
             raise DimensionError(f"unsupported dtype {dtype}")
@@ -83,6 +122,7 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, op={self.op!r}, grad={self.requires_grad})"
 
+    @_quiet
     def backward(self) -> None:
         """Populate `grad` on every reachable node with the gradient of this
         scalar; prior gradients on those nodes are overwritten, so repeated
@@ -124,10 +164,18 @@ def _result(data: np.ndarray, op: str, parents: Sequence[Tensor], backward=None)
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add `g` into `t.grad`. `fresh` promises that no other node holds `g`,
+    so a first contribution of the right dtype and layout is kept, not
+    copied; any other first contribution is copied, since it may be shared
+    with another parent or be a broadcast view."""
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g.astype(t.data.dtype, copy=False)
+        if fresh and g.dtype == t.data.dtype and g.flags.c_contiguous:
+            t.grad = g
+        else:
+            t.grad = np.array(g, dtype=t.data.dtype, order="C")
+    else:
+        t.grad += g
 
 
 def _common_dtype(*tensors: Tensor):
@@ -141,6 +189,7 @@ def _common_dtype(*tensors: Tensor):
 # ---------------------------------------------------------------------------
 # elementwise ops
 
+@_quiet
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"add shape mismatch {a.shape} vs {b.shape}")
@@ -160,6 +209,7 @@ def residual_add(a: Tensor, b: Tensor) -> Tensor:
     return add(a, b)
 
 
+@_quiet
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"mul shape mismatch {a.shape} vs {b.shape}")
@@ -167,34 +217,38 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            _accumulate(a, g * b.data)
+            _accumulate(a, g * b.data, fresh=True)
         if b.requires_grad:
-            _accumulate(b, g * a.data)
+            _accumulate(b, g * a.data, fresh=True)
 
     return _result(a.data * b.data, "mul", (a, b), bw)
 
 
+@_quiet
 def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def bw(g):
         if x.requires_grad:
-            _accumulate(x, g * c)
+            _accumulate(x, g * c, fresh=True)
 
     return _result(x.data * np.array(c, dtype=x.data.dtype), "scale", (x,), bw)
 
 
+@_quiet
 def relu(x: Tensor) -> Tensor:
     """max(0, x); the gradient is the 0/1 mask of strictly positive inputs."""
-    mask = x.data > 0
+    out = np.maximum(x.data, 0)
 
     def bw(g):
         if x.requires_grad:
-            _accumulate(x, g * mask)
+            # out > 0 exactly where x > 0
+            _accumulate(x, g * (out > 0), fresh=True)
 
-    return _result(np.maximum(x.data, 0), "relu", (x,), bw)
+    return _result(out, "relu", (x,), bw)
 
 
+@_quiet
 def sum_all(x: Tensor) -> Tensor:
     def bw(g):
         if x.requires_grad:
@@ -204,6 +258,7 @@ def sum_all(x: Tensor) -> Tensor:
     return _result(total, "sum", (x,), bw)
 
 
+@_quiet
 def weighted_sum(x: Tensor, w: np.ndarray) -> Tensor:
     """Scalar inner product with a constant weight array (f64 accumulation)."""
     w = np.asarray(w, dtype=np.float64)
@@ -212,12 +267,13 @@ def weighted_sum(x: Tensor, w: np.ndarray) -> Tensor:
 
     def bw(g):
         if x.requires_grad:
-            _accumulate(x, g * w)
+            _accumulate(x, g * w, fresh=True)
 
     total = np.asarray(np.sum(x.data.astype(np.float64) * w), dtype=x.data.dtype)
     return _result(total, "weighted_sum", (x,), bw)
 
 
+@_quiet
 def crop2d(x: Tensor, h: int, w: int) -> Tensor:
     """Keep the top-left h x w spatial window of an [N,C,H,W] tensor."""
     if x.data.ndim != 4 or h > x.shape[2] or w > x.shape[3]:
@@ -229,7 +285,7 @@ def crop2d(x: Tensor, h: int, w: int) -> Tensor:
         if x.requires_grad:
             full = np.zeros_like(x.data)
             full[:, :, :h, :w] = g
-            _accumulate(x, full)
+            _accumulate(x, full, fresh=True)
 
     return _result(x.data[:, :, :h, :w], "crop2d", (x,), bw)
 
@@ -250,6 +306,8 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
 
 
 def _col2im(gcols: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.ndarray:
+    if (k, stride, pad) == (1, 1, 0):
+        return gcols.reshape(x_shape)
     n, c, hin, win = x_shape
     hout = (hin + 2 * pad - k) // stride + 1
     wout = (win + 2 * pad - k) // stride + 1
@@ -263,11 +321,13 @@ def _col2im(gcols: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.nda
     return buf
 
 
+@_quiet
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, zero_pad: int = 0) -> Tensor:
     """Cross-correlation of [N,Cin,H,W] with [Cout,Cin,k,k], k in {1,3}.
 
-    Output height is floor((H + 2*zero_pad - k) / stride) + 1; inner
-    products accumulate in float64.
+    Output height is floor((H + 2*zero_pad - k) / stride) + 1. The GEMMs
+    run in the storage dtype; the weight gradient's sum over the batch
+    accumulates in float64.
     """
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise DimensionError("conv2d expects 4-d input and weight")
@@ -284,18 +344,17 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, zero_pad: int = 0) -> Ten
         raise DimensionError("spatial extent smaller than kernel")
 
     cols, hout, wout = _im2col(x.data, k, stride, zero_pad)
-    cols64 = cols.astype(np.float64)
-    w64 = weight.data.reshape(cout, cin * k * k).astype(np.float64)
-    out = np.matmul(w64[None], cols64).astype(dt).reshape(n, cout, hout, wout)
+    wm = weight.data.reshape(cout, cin * k * k)
+    out = np.matmul(wm, cols).reshape(n, cout, hout, wout)
 
     def bw(g):
-        gm = g.reshape(n, cout, hout * wout).astype(np.float64)
+        gm = g.reshape(n, cout, hout * wout)
         if weight.requires_grad:
-            gw = np.matmul(gm, cols64.transpose(0, 2, 1)).sum(axis=0)
+            gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0, dtype=np.float64)
             _accumulate(weight, gw.reshape(weight.shape))
         if x.requires_grad:
-            gcols = np.matmul(w64.T[None], gm)
-            _accumulate(x, _col2im(gcols, x.shape, k, stride, zero_pad))
+            gcols = np.matmul(wm.T, gm)
+            _accumulate(x, _col2im(gcols, x.shape, k, stride, zero_pad), fresh=True)
 
     return _result(out, "conv2d", (x, weight), bw)
 
@@ -319,69 +378,92 @@ class BatchNormState:
         return dup
 
 
+def _per_channel(v: np.ndarray, dt) -> np.ndarray:
+    """float64 [C] -> storage-dtype [1,C,1,1], ready to broadcast."""
+    return v.astype(dt)[None, :, None, None]
+
+
+@_quiet
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                training: bool) -> Tensor:
     """Channel normalization of [N,C,H,W]; batch stats in train mode, running
-    stats in eval mode. Train mode updates `state` with momentum 0.1."""
+    stats in eval mode. Train mode updates `state` with momentum 0.1.
+
+    Statistics and the backward sums accumulate in float64; the normalized
+    input and the elementwise math stay in the storage dtype. In eval mode
+    the op is the per-channel affine map x * scale + shift.
+    """
     if x.data.ndim != 4:
         raise DimensionError("batch_norm expects [N,C,H,W]")
     n, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DimensionError("gamma/beta must have one value per channel")
     dt = _common_dtype(x, gamma, beta)
-    x64 = x.data.astype(np.float64)
     g64 = gamma.data.astype(np.float64)
     m = n * h * w
+    axes = (0, 2, 3)
 
     if training:
         if m < 2:
             raise DimensionError("train-mode batch_norm needs N*H*W >= 2")
-        mean = x64.mean(axis=(0, 2, 3))
-        var = x64.var(axis=(0, 2, 3))
+        mean = x.data.sum(axis=axes, dtype=np.float64) / m
+        # two-pass variance: deviations from the mean, then their squares,
+        # squared into the buffer that later holds the output
+        xhat = x.data - _per_channel(mean, dt)
+        out = np.square(xhat)
+        var = out.sum(axis=axes, dtype=np.float64) / m
         invstd = 1.0 / np.sqrt(var + state.eps)
-        xhat = (x64 - mean[None, :, None, None]) * invstd[None, :, None, None]
+        xhat *= invstd[None, :, None, None]
         var_unbiased = var * m / max(m - 1, 1)
         mom = state.momentum
         state.running_mean = ((1 - mom) * state.running_mean.astype(np.float64)
                               + mom * mean).astype(np.float32)
         state.running_var = ((1 - mom) * state.running_var.astype(np.float64)
                              + mom * var_unbiased).astype(np.float32)
+        np.multiply(xhat, gamma.data[None, :, None, None], out=out)
+        out += beta.data[None, :, None, None]
 
         def bw(g):
-            gy = g.astype(np.float64)
+            sum_g = g.sum(axis=axes, dtype=np.float64)
+            gxhat = g * xhat
+            sum_gxhat = gxhat.sum(axis=axes, dtype=np.float64)
             if beta.requires_grad:
-                _accumulate(beta, gy.sum(axis=(0, 2, 3)))
+                _accumulate(beta, sum_g)
             if gamma.requires_grad:
-                _accumulate(gamma, (gy * xhat).sum(axis=(0, 2, 3)))
+                _accumulate(gamma, sum_gxhat)
             if x.requires_grad:
-                gxhat = gy * g64[None, :, None, None]
-                mean_g = gxhat.mean(axis=(0, 2, 3))
-                mean_gx = (gxhat * xhat).mean(axis=(0, 2, 3))
-                gx = (gxhat - mean_g[None, :, None, None]
-                      - xhat * mean_gx[None, :, None, None]) * invstd[None, :, None, None]
-                _accumulate(x, gx)
+                # gamma * invstd * (g - mean(g) - xhat * mean(g * xhat)),
+                # in place in the g * xhat buffer
+                gx = np.multiply(xhat, _per_channel(-sum_gxhat / m, dt), out=gxhat)
+                gx += g
+                gx -= _per_channel(sum_g / m, dt)
+                gx *= _per_channel(g64 * invstd, dt)
+                _accumulate(x, gx, fresh=True)
     else:
         rmean = state.running_mean.astype(np.float64)
         rinv = 1.0 / np.sqrt(state.running_var.astype(np.float64) + state.eps)
-        xhat = (x64 - rmean[None, :, None, None]) * rinv[None, :, None, None]
+        scale = g64 * rinv
+        out = x.data * _per_channel(scale, dt)
+        out += _per_channel(beta.data.astype(np.float64) - rmean * scale, dt)
 
         def bw(g):
-            gy = g.astype(np.float64)
             if beta.requires_grad:
-                _accumulate(beta, gy.sum(axis=(0, 2, 3)))
+                _accumulate(beta, g.sum(axis=axes, dtype=np.float64))
             if gamma.requires_grad:
-                _accumulate(gamma, (gy * xhat).sum(axis=(0, 2, 3)))
+                xhat = x.data - _per_channel(rmean, dt)
+                xhat *= _per_channel(rinv, dt)
+                xhat *= g
+                _accumulate(gamma, xhat.sum(axis=axes, dtype=np.float64))
             if x.requires_grad:
-                _accumulate(x, gy * (g64 * rinv)[None, :, None, None])
+                _accumulate(x, g * _per_channel(scale, dt), fresh=True)
 
-    out = (xhat * g64[None, :, None, None]
-           + beta.data.astype(np.float64)[None, :, None, None]).astype(dt)
     return _result(out, "batch_norm", (x, gamma, beta), bw)
 
 
 # ---------------------------------------------------------------------------
 # reductions and the classifier head
 
+@_quiet
 def spatial_mean(x: Tensor) -> Tensor:
     """[N,C,H,W] -> [N,C] mean over space; each location gets 1/(H*W) of the
     gradient."""
@@ -393,10 +475,11 @@ def spatial_mean(x: Tensor) -> Tensor:
         if x.requires_grad:
             _accumulate(x, np.broadcast_to(g[:, :, None, None] / (h * w), x.shape))
 
-    out = x.data.astype(np.float64).mean(axis=(2, 3)).astype(x.data.dtype)
+    out = (x.data.sum(axis=(2, 3), dtype=np.float64) / (h * w)).astype(x.data.dtype)
     return _result(out, "spatial_mean", (x,), bw)
 
 
+@_quiet
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Affine map [N,D] @ [K,D]^T (+ [K]); float64 accumulation."""
     if x.data.ndim != 2 or weight.data.ndim != 2:
@@ -427,6 +510,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return _result(out64.astype(dt), "linear", parents, bw)
 
 
+@_quiet
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean over the batch of -log softmax(logits)[label].
 
@@ -486,6 +570,7 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
+@_quiet
 def sgd_momentum_step(params: Iterable[Parameter], lr: float, momentum: float) -> None:
     """Classical momentum update: v <- momentum*v + grad; p <- p - lr*v."""
     for p in params:

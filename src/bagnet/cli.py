@@ -174,6 +174,9 @@ def cmd_analyze_heatmap(args) -> int:
     model, ds = _model_and_data(args)
     out = Path(args.out)
     write_manifest(out, "analyze heatmap", args, [args.checkpoint, args.data])
+    if not 0 <= args.image < ds.count:
+        raise itp.PreconditionError(
+            f"--image {args.image} is out of range: {args.data} has {ds.count} images")
     img = itp.norm_images(model, ds, [args.image])[0]
     em = forward_evidence(model, img)
     if args.cls == "pred":

@@ -235,11 +235,6 @@ class ModelState:
         self._param(f"{name}.beta", np.zeros(channels, dtype=np.float32))
         self.bn[name] = BatchNormState(channels)
 
-    def normalize_images(self, images_u8: np.ndarray) -> np.ndarray:
-        """u8 [.,3,H,W] -> float32 in model input space."""
-        x = images_u8.astype(np.float32) / 255.0
-        return (x - self.norm_mean[:, None, None]) / self.norm_std[:, None, None]
-
 
 def build_model(config: BagNetConfig, seed: int) -> ModelState:
     """Instantiate parameters for `config` deterministically from `seed`.
@@ -330,13 +325,6 @@ def classify_features(model: ModelState, feats: Tensor) -> Tensor:
 
 def forward_logits(model: ModelState, x: Tensor, stem_pad: Optional[int] = None) -> Tensor:
     return classify_features(model, forward_features(model, x, stem_pad=stem_pad))
-
-
-def batch_image_logits(model: ModelState, images: np.ndarray) -> np.ndarray:
-    """Image logits for a float batch [N,3,H,W] (eval-mode fast path)."""
-    if model.mode != "eval":
-        raise ConfigError("batch_image_logits requires eval mode")
-    return forward_logits(model, Tensor(images)).data
 
 
 @dataclass

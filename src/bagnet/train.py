@@ -280,8 +280,21 @@ def load_checkpoint(path) -> Checkpoint:
         off += n
         return chunk
 
+    def parse_json(n: int, field: str) -> dict:
+        start = off
+        try:
+            return json.loads(take(n).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointFormatError(
+                f"{path}: {field} JSON at offset {start} is corrupt: {exc}") from None
+
     cfg_len = struct.unpack("<I", take(4))[0]
-    config = _config_from_dict(json.loads(take(cfg_len)))
+    cfg = parse_json(cfg_len, "config")
+    try:
+        config = _config_from_dict(cfg)
+        expected = snapshot_tensors(build_model(config, seed=0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"{path}: invalid config field: {exc!r}") from None
     n_tensors = struct.unpack("<I", take(4))[0]
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
@@ -292,7 +305,16 @@ def load_checkpoint(path) -> Checkpoint:
         n = int(np.prod(dims)) if dims else 1
         arr = np.frombuffer(take(4 * n), dtype="<f4").reshape(dims).copy()
         tensors[name] = arr
+    for name, ref in expected.items():
+        if name not in tensors:
+            raise CheckpointFormatError(f"{path}: tensor {name!r} is missing from the table")
+        if tensors[name].shape != ref.shape:
+            raise CheckpointFormatError(f"{path}: tensor {name!r} has shape "
+                                        f"{tensors[name].shape}, config needs {ref.shape}")
     meta_len = struct.unpack("<I", take(4))[0]
-    meta = json.loads(take(meta_len))
-    return Checkpoint(config, tensors, meta["epoch"], meta["base_seed"],
-                      history_from_csv(meta["history_csv"]), meta.get("diverged", False))
+    meta = parse_json(meta_len, "meta")
+    try:
+        return Checkpoint(config, tensors, meta["epoch"], meta["base_seed"],
+                          history_from_csv(meta["history_csv"]), meta.get("diverged", False))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"{path}: invalid meta field: {exc!r}") from None

@@ -216,6 +216,44 @@ class TestBatchNorm:
                          BatchNormState(1), training=True)
         assert np.all(np.isfinite(out.data))
 
+    @staticmethod
+    def _train_mode_with_grads(x, gamma, beta, r, dtype):
+        xt = Tensor(x, requires_grad=True, dtype=dtype)
+        gt = Tensor(gamma, requires_grad=True, dtype=dtype)
+        bt = Tensor(beta, requires_grad=True, dtype=dtype)
+        out = batch_norm(xt, gt, bt, BatchNormState(x.shape[1]), training=True)
+        weighted_sum(out, r).backward()
+        return [a.astype(np.float64) for a in (out.data, xt.grad, gt.grad, bt.grad)]
+
+    def test_float32_train_mode_matches_float64_on_offset_channels(self):
+        # float32 storage with float64 statistics: a per-channel offset of 100
+        # at std 1 must not cost precision in the output or any gradient
+        rng = np.random.default_rng(11)
+        offsets = np.array([100.0, -100.0, 100.0])
+        x = (rng.standard_normal((16, 3, 8, 8)) + offsets[None, :, None, None]).astype(np.float32)
+        gamma = (rng.standard_normal(3) + 1.5).astype(np.float32)
+        beta = rng.standard_normal(3).astype(np.float32)
+        r = rng.standard_normal(x.shape)
+        got = self._train_mode_with_grads(x, gamma, beta, r, np.float32)
+        ref = self._train_mode_with_grads(x.astype(np.float64), gamma, beta, r, np.float64)
+        for name, a, b in zip(("out", "dx", "dgamma", "dbeta"), got, ref):
+            assert np.abs(a - b).max() <= 1e-4 * np.abs(b).max(), name
+
+    def test_eval_mode_equals_normalize_then_affine(self):
+        rng = np.random.default_rng(12)
+        x = (rng.standard_normal((8, 4, 6, 6)) * 1.5 + 0.3).astype(np.float32)
+        gamma = (rng.standard_normal(4) + 1.2).astype(np.float32)
+        beta = rng.standard_normal(4).astype(np.float32)
+        state = BatchNormState(4)
+        state.running_mean = rng.standard_normal(4).astype(np.float32)
+        state.running_var = (rng.random(4) * 3 + 0.5).astype(np.float32)
+        out = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), state, training=False).data
+        mean = state.running_mean.astype(np.float64)[None, :, None, None]
+        std = np.sqrt(state.running_var.astype(np.float64) + state.eps)[None, :, None, None]
+        ref = ((x - mean) / std * gamma[None, :, None, None]
+               + beta[None, :, None, None]).astype(np.float32)
+        assert np.abs(out - ref).max() <= 1e-6 * np.abs(ref).max()
+
 
 # ---------------------------------------------------------------------------
 # softmax cross-entropy

@@ -2,11 +2,13 @@
 codes and byte-identical reruns."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from bagnet.cli import main
+from bagnet.train import load_checkpoint, save_checkpoint
 
 SYNTH = ["dataset", "synth", "--classes", "2", "--per-class", "8", "--size", "16",
          "--texture-scale", "8", "--seed", "3"]
@@ -178,6 +180,62 @@ def test_exit_code_missing_file(tmp_path):
     assert main(["dataset", "inspect", str(tmp_path / "nope.bagd")]) == 3
 
 
+@pytest.mark.parametrize("field", ["config", "meta"])
+def test_corrupt_checkpoint_json_exits_3(workdir, tmp_path, capsys, field):
+    blob = bytearray((workdir / "run" / "model.bagc").read_bytes())
+    # the config JSON starts after magic, version and its u32 length; the
+    # meta JSON ends the file
+    blob[9 if field == "config" else -1] = ord("X")
+    bad = tmp_path / "badjson.bagc"
+    bad.write_bytes(bytes(blob))
+    rc = main(["eval", "--checkpoint", str(bad), "--data", str(workdir / "val.bagd"),
+               "--out", str(tmp_path / "e")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and field in err
+
+
+def test_checkpoint_meta_missing_field_exits_3(workdir, tmp_path, capsys):
+    blob = (workdir / "run" / "model.bagc").read_bytes()
+    start = blob.rindex(b'{"base_seed"')  # the meta JSON ends the file
+    meta = json.loads(blob[start:])
+    del meta["epoch"]
+    raw = json.dumps(meta).encode()
+    bad = tmp_path / "badmeta.bagc"
+    bad.write_bytes(blob[:start - 4] + len(raw).to_bytes(4, "little") + raw)
+    rc = main(["eval", "--checkpoint", str(bad), "--data", str(workdir / "val.bagd"),
+               "--out", str(tmp_path / "e")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and "epoch" in err
+
+
+@pytest.mark.parametrize("damage", ["missing", "reshaped"])
+def test_checkpoint_tensor_table_mismatch_exits_3(workdir, tmp_path, capsys, damage):
+    ckpt = load_checkpoint(workdir / "run" / "model.bagc")
+    name = "param.classifier.bias"
+    if damage == "missing":
+        del ckpt.tensors[name]
+    else:
+        ckpt.tensors[name] = np.zeros(7, dtype=np.float32)
+    bad = tmp_path / "badtable.bagc"
+    save_checkpoint(ckpt, bad)
+    rc = main(["eval", "--checkpoint", str(bad), "--data", str(workdir / "val.bagd"),
+               "--out", str(tmp_path / "e")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and name in err
+
+
+def test_heatmap_image_out_of_range_exits_4(workdir, tmp_path, capsys):
+    rc = main(["analyze", "heatmap", "--checkpoint", str(workdir / "run" / "model.bagc"),
+               "--data", str(workdir / "val.bagd"), "--image", "999",
+               "--out", str(tmp_path / "h")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "999" in err and "16 images" in err
+
+
 def test_exit_code_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["definitely-not-a-command"])
@@ -190,6 +248,16 @@ def test_exit_code_divergence(workdir, tmp_path):
                "--epochs", "2", "--batch-size", "8", "--seed", "0", "--lr0", "1e39"])
     assert rc == 5
     assert (tmp_path / "div" / "model.bagc").exists()  # last good state kept
+
+
+def test_divergence_exit_code_without_numpy_warnings(workdir, tmp_path):
+    args = ["train", "--config", "bagnet5_32", "--data", str(workdir / "train.bagd"),
+            "--val", str(workdir / "val.bagd"), "--out", str(tmp_path / "div"),
+            "--epochs", "2", "--batch-size", "8", "--seed", "0", "--lr0", "1e39"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(args) == 5
+    assert load_checkpoint(tmp_path / "div" / "model.bagc").diverged
 
 
 def test_manifest_written_before_failure(workdir, tmp_path):

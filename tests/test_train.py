@@ -1,6 +1,8 @@
 """Schedule arithmetic, training smoke behavior, evaluation semantics and
 bit-exact checkpointing / resumption."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,17 @@ class TestTrainLoop:
         assert ckpt.diverged
         for name, arr in good.tensors.items():
             assert ckpt.tensors[name].tobytes() == arr.tobytes(), name
+
+    @pytest.mark.parametrize("lr0", [1e18, 1e39])
+    def test_divergence_raises_no_numpy_warning(self, lr0):
+        # NumericalError is the one report of a non-finite value: no
+        # overflow / invalid RuntimeWarning may escape on the way to it
+        tr, va = tiny_sets()
+        model = build_model(TINY, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ckpt = train(model, tr, va, TrainConfig(epochs=2, batch_size=8, lr0=lr0, seed=0))
+        assert ckpt.diverged
 
 
 class TestEvaluate:
