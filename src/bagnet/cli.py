@@ -2,8 +2,8 @@
 analyses and a throughput benchmark.
 
 Every subcommand writes a manifest (resolved flags, seeds, input
-hashes, tool version) before any other output; identical flags, seeds,
-inputs and worker count give byte-identical artifacts.
+hashes, tool version) before any other output; identical flags, seeds
+and inputs give byte-identical artifacts.
 
 Exit codes: 0 success, 2 usage error, 3 data-format error,
 4 precondition violation, 5 numerical divergence.
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -83,6 +82,17 @@ def _load(path, split="val") -> Dataset:
     return load_dataset(path, split=split)
 
 
+def _models_and_data(data, *checkpoints) -> tuple:
+    """(model per checkpoint..., dataset); each model must have the dataset's classes."""
+    models = [model_from_checkpoint(load_checkpoint(path)) for path in checkpoints]
+    ds = _load(data)
+    for path, model in zip(checkpoints, models):
+        if model.config.num_classes != ds.num_classes:
+            raise itp.PreconditionError(f"{path} has {model.config.num_classes} classes "
+                                        f"but {data} has {ds.num_classes}")
+    return (*models, ds)
+
+
 # ---------------------------------------------------------------------------
 # dataset subcommands
 
@@ -147,9 +157,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    model = model_from_checkpoint(ckpt)
-    ds = _load(args.data)
+    model, ds = _models_and_data(args.data, args.checkpoint)
     result = evaluate(model, ds, k=args.topk)
     out = Path(args.out)
     write_manifest(out, "eval", args, [args.checkpoint, args.data])
@@ -165,13 +173,8 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 # analyses
 
-def _model_and_data(args) -> tuple:
-    ckpt = load_checkpoint(args.checkpoint)
-    return model_from_checkpoint(ckpt), _load(args.data)
-
-
 def cmd_analyze_heatmap(args) -> int:
-    model, ds = _model_and_data(args)
+    model, ds = _models_and_data(args.data, args.checkpoint)
     out = Path(args.out)
     write_manifest(out, "analyze heatmap", args, [args.checkpoint, args.data])
     if not 0 <= args.image < ds.count:
@@ -183,13 +186,14 @@ def cmd_analyze_heatmap(args) -> int:
         cls = int(np.argmax(image_logits(em)))
     else:
         cls = int(args.cls)
+        itp.check_class(model, cls)
     itp.export_heatmap(em, cls, out / f"heatmap_img{args.image}_class{cls}.ppm")
     print(f"heatmap for image {args.image}, class {cls} -> {out}")
     return EXIT_OK
 
 
 def cmd_analyze_patches(args) -> int:
-    model, ds = _model_and_data(args)
+    model, ds = _models_and_data(args.data, args.checkpoint)
     out = Path(args.out)
     write_manifest(out, "analyze patches", args, [args.checkpoint, args.data])
     result = itp.top_patches(model, ds, args.cls, args.k, limit=args.limit)
@@ -207,7 +211,7 @@ def cmd_analyze_patches(args) -> int:
 
 
 def cmd_analyze_interaction(args) -> int:
-    model, ds = _model_and_data(args)
+    model, ds = _models_and_data(args.data, args.checkpoint)
     out = Path(args.out)
     write_manifest(out, "analyze interaction", args, [args.checkpoint, args.data])
     result = itp.interaction_experiment(model, ds, args.p, limit=args.limit,
@@ -220,7 +224,7 @@ def cmd_analyze_interaction(args) -> int:
 
 
 def cmd_analyze_sensitivity(args) -> int:
-    model, ds = _model_and_data(args)
+    model, ds = _models_and_data(args.data, args.checkpoint)
     out = Path(args.out)
     write_manifest(out, "analyze sensitivity", args, [args.checkpoint, args.data])
     sources = args.sources.split(",")
@@ -234,7 +238,7 @@ def cmd_analyze_sensitivity(args) -> int:
 
 
 def cmd_analyze_threshold(args) -> int:
-    model, ds = _model_and_data(args)
+    model, ds = _models_and_data(args.data, args.checkpoint)
     out = Path(args.out)
     write_manifest(out, "analyze threshold", args, [args.checkpoint, args.data])
     thresholds = [float(t) for t in args.thresholds.split(",")]
@@ -250,7 +254,7 @@ def cmd_analyze_threshold(args) -> int:
 
 
 def cmd_analyze_scramble(args) -> int:
-    model, ds = _model_and_data(args)
+    model, ds = _models_and_data(args.data, args.checkpoint)
     out = Path(args.out)
     write_manifest(out, "analyze scramble", args, [args.checkpoint, args.data])
     result = itp.scramble_test(model, ds, seed=args.seed, limit=args.limit)
@@ -265,9 +269,7 @@ def cmd_analyze_scramble(args) -> int:
 
 
 def cmd_analyze_scatter(args) -> int:
-    model_a = model_from_checkpoint(load_checkpoint(args.checkpoint_a))
-    model_b = model_from_checkpoint(load_checkpoint(args.checkpoint_b))
-    ds = _load(args.data)
+    model_a, model_b, ds = _models_and_data(args.data, args.checkpoint_a, args.checkpoint_b)
     out = Path(args.out)
     write_manifest(out, "analyze scatter", args,
                    [args.checkpoint_a, args.checkpoint_b, args.data])
@@ -280,9 +282,7 @@ def cmd_analyze_scatter(args) -> int:
 
 
 def cmd_analyze_logitcorr(args) -> int:
-    model_a = model_from_checkpoint(load_checkpoint(args.checkpoint_a))
-    model_b = model_from_checkpoint(load_checkpoint(args.checkpoint_b))
-    ds = _load(args.data)
+    model_a, model_b, ds = _models_and_data(args.data, args.checkpoint_a, args.checkpoint_b)
     out = Path(args.out)
     write_manifest(out, "analyze logitcorr", args,
                    [args.checkpoint_a, args.checkpoint_b, args.data])
@@ -322,9 +322,6 @@ def cmd_bench(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bagnet")
-    parser.add_argument("--workers", type=int,
-                        default=int(os.environ.get("BAGNET_WORKERS", "1")),
-                        help="internal parallelism cap (default 1, or BAGNET_WORKERS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     ds = sub.add_parser("dataset").add_subparsers(dest="action", required=True)

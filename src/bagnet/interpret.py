@@ -23,8 +23,9 @@ from .data import Dataset, STREAM_ANALYSIS, normalize_images, seed_stream
 from .model import (
     EvidenceMap,
     ModelState,
+    batch_logits,
+    evidence_batch,
     forward_evidence,
-    forward_features,
     forward_logits,
     rf_geometry,
 )
@@ -54,22 +55,22 @@ def pearson(x, y) -> Optional[float]:
     return float(np.dot(xc, yc) / np.sqrt(vx * vy))
 
 
+def check_class(model: ModelState, cls: int) -> None:
+    k = model.config.num_classes
+    if not 0 <= cls < k:
+        raise PreconditionError(f"class {cls} is out of range: the model has {k} classes")
+
+
+def analysed_count(dataset: Dataset, limit: Optional[int]) -> int:
+    """Images an analysis reads: the first `limit`, or all when None."""
+    n = dataset.count if limit is None else min(limit, dataset.count)
+    if n < 1:
+        raise PreconditionError(f"limit {limit} selects none of the {dataset.count} images")
+    return n
+
+
 def norm_images(model: ModelState, dataset: Dataset, indices) -> np.ndarray:
     return normalize_images(dataset.images[indices], model.norm_mean, model.norm_std)
-
-
-def evidence_batch(model: ModelState, images: np.ndarray) -> np.ndarray:
-    """Per-location class logits for a normalized batch: [N,K,Hm,Wm]."""
-    feats = forward_features(model, Tensor(images)).data
-    w64 = model.params["classifier.weight"].value.data.astype(np.float64)
-    b64 = model.params["classifier.bias"].value.data.astype(np.float64)
-    logits = np.einsum("nfhw,kf->nkhw", feats.astype(np.float64), w64)
-    return (logits + b64[None, :, None, None]).astype(np.float32)
-
-
-def batch_logits(model: ModelState, images: np.ndarray) -> np.ndarray:
-    """Image-level logits for a normalized batch [N,3,H,W]."""
-    return forward_logits(model, Tensor(images)).data
 
 
 @contextlib.contextmanager
@@ -186,15 +187,18 @@ def interaction_pairs(logit_fn: Callable[[np.ndarray], np.ndarray],
                       spec: MaskSpec) -> tuple[np.ndarray, np.ndarray]:
     """For each image: lhs = l(x) - l(x + sum_i d_i) with all patches masked
     jointly; rhs = sum_i (l(x) - l(x + d_i)) one patch at a time. `logit_fn`
-    maps an image batch to [N, K] logits; the tracked class is per image."""
-    lhs_all, rhs_all = [], []
-    for img, cls in zip(images, classes):
+    maps an image batch to [N, K] logits and is called once, on every
+    image's variants; the tracked class is per image."""
+    variants = []
+    for img in images:
         masked, deltas = apply_mask(img, spec)
-        batch = np.stack([img, masked] + [add_delta(img, d) for d in deltas])
-        logits = np.asarray(logit_fn(batch), dtype=np.float64)[:, int(cls)]
-        lhs_all.append(logits[0] - logits[1])
-        rhs_all.append(np.sum(logits[0] - logits[2:]))
-    return np.array(lhs_all), np.array(rhs_all)
+        variants += [img, masked] + [add_delta(img, d) for d in deltas]
+    logits = np.asarray(logit_fn(np.stack(variants)), dtype=np.float64)
+    # every image has the same cells, so its rows are x, joint, then singles
+    n = len(images)
+    per_image = logits.reshape(n, -1, logits.shape[1])
+    tracked = per_image[np.arange(n), :, np.asarray(classes, dtype=np.int64)]   # [n, rows]
+    return tracked[:, 0] - tracked[:, 1], np.sum(tracked[:, :1] - tracked[:, 2:], axis=1)
 
 
 def interaction_experiment(model: ModelState, dataset: Dataset, p: int,
@@ -203,7 +207,7 @@ def interaction_experiment(model: ModelState, dataset: Dataset, p: int,
                            phase: tuple[int, int] = (0, 0)) -> InteractionResult:
     if model.mode != "eval":
         raise PreconditionError("interaction experiment requires eval mode")
-    n = dataset.count if limit is None else min(limit, dataset.count)
+    n = analysed_count(dataset, limit)
     indices = list(range(n))
     images = norm_images(model, dataset, indices)
     if class_mode == "label":
@@ -288,23 +292,21 @@ def cell_scores_from_evidence(em: EvidenceMap, cls: int, p: int,
     the ranking; overlap weighting keeps the attribution linear and exact in
     the limit of disjoint windows.
     """
-    gh, gw = grid
-    scores = np.zeros((gh, gw), dtype=np.float64)
     _, hm, wm = em.logits.shape
-    h, w = em.input_hw
     q = em.rf_size
-    for i in range(hm):
-        for j in range(wm):
-            top, left = em.rf_top_left(i, j)
-            r_lo, r_hi = max(top, 0) // p, (min(top + q, h) - 1) // p
-            c_lo, c_hi = max(left, 0) // p, (min(left + q, w) - 1) // p
-            value = em.logits[cls, i, j] / (q * q)
-            for r in range(r_lo, r_hi + 1):
-                oy = min(top + q, (r + 1) * p, h) - max(top, r * p, 0)
-                for c in range(c_lo, c_hi + 1):
-                    ox = min(left + q, (c + 1) * p, w) - max(left, c * p, 0)
-                    scores[r, c] += value * oy * ox
-    return scores.reshape(-1)
+
+    def overlap(m: int, cells: int, size: int) -> np.ndarray:
+        # [m, cells] pixels of each cell inside each window, along one axis
+        top = em.offset + np.arange(m)[:, None] * em.stride
+        lo = np.arange(cells)[None, :] * p
+        span = np.minimum(np.minimum(top + q, lo + p), size) - np.maximum(np.maximum(top, lo), 0)
+        return np.maximum(span, 0).astype(np.float32)
+
+    oy, ox = overlap(hm, grid[0], em.input_hw[0]), overlap(wm, grid[1], em.input_hw[1])
+    value = em.logits[cls] / (q * q)
+    # float32 terms, float64 sum in row-major location order: the loop's arithmetic
+    terms = value[:, :, None, None] * oy[:, None, :, None] * ox[None, :, None, :]
+    return terms.astype(np.float64).reshape(hm * wm, -1).sum(axis=0)
 
 
 def masking_sensitivity(model: ModelState, sources: Sequence[str], dataset: Dataset,
@@ -322,7 +324,7 @@ def masking_sensitivity(model: ModelState, sources: Sequence[str], dataset: Data
     """
     if model.mode != "eval":
         raise PreconditionError("masking sensitivity requires eval mode")
-    n_imgs = dataset.count if limit is None else min(limit, dataset.count)
+    n_imgs = analysed_count(dataset, limit)
     size = dataset.size
     gh, gw = grid_cells(size, size, p, (0, 0))
     if n_max > gh * gw:
@@ -342,10 +344,9 @@ def masking_sensitivity(model: ModelState, sources: Sequence[str], dataset: Data
         logits = batch_logits(model, np.stack(variants))
         return softmax(logits, axis=1)[:, leading]
 
-    for idx in range(n_imgs):
-        img = norm_images(model, dataset, [idx])[0]
-        logits0 = batch_logits(model, img[None])[0]
-        leading = int(np.argmax(logits0))
+    images = norm_images(model, dataset, np.arange(n_imgs))
+    leading_classes = np.argmax(batch_logits(model, images), axis=1)
+    for idx, (img, leading) in enumerate(zip(images, leading_classes.tolist())):
         for source in sources:
             if source == "bagnet":
                 em = forward_evidence(model, img)
@@ -382,19 +383,15 @@ def sensitivity_csv(curves: dict[str, SensitivityCurve]) -> str:
 # logit thresholding
 
 def threshold_sweep(model: ModelState, dataset: Dataset, thresholds: Sequence[float],
-                    mode: str, k: int = 1, limit: Optional[int] = None,
-                    batch_size: int = 128) -> list[tuple[str, float, int, float]]:
+                    mode: str, k: int = 1,
+                    limit: Optional[int] = None) -> list[tuple[str, float, int, float]]:
     """Transform every evidence logit before spatial averaging and re-derive
     top-k accuracy. clamp: values below t are raised to t; binarize: below
     t -> 0, not below -> 1."""
     if mode not in ("clamp", "binarize"):
         raise PreconditionError(f"unknown threshold mode {mode!r}")
-    n = dataset.count if limit is None else min(limit, dataset.count)
-    maps = []
-    for start in range(0, n, batch_size):
-        idx = list(range(start, min(start + batch_size, n)))
-        maps.append(evidence_batch(model, norm_images(model, dataset, idx)))
-    ev = np.concatenate(maps)                    # [n, K, Hm, Wm]
+    n = analysed_count(dataset, limit)
+    ev = evidence_batch(model, norm_images(model, dataset, np.arange(n)))   # [n, K, Hm, Wm]
     labels = dataset.labels[:n].astype(np.int64)
     rows = []
     for t in thresholds:
@@ -447,25 +444,17 @@ def scramble_test(model: ModelState, dataset: Dataset, seed: int = 0,
             f"config {cfg.name!r} does not tile the input exactly "
             f"(stride {jump} vs q {cfg.q}, offset {offset}, size {dataset.size}); "
             "block scrambling would not be invariant")
-    n = dataset.count if limit is None else min(limit, dataset.count)
+    n = analysed_count(dataset, limit)
     rng = seed_stream(seed, STREAM_ANALYSIS, 0x5C2A)
     n_blocks = (dataset.size // cfg.q) ** 2
-    clean_hits, scr_hits = [], []
-    max_delta = 0.0
-    batch = 64
-    for start in range(0, n, batch):
-        idx = list(range(start, min(start + batch, n)))
-        imgs = norm_images(model, dataset, idx)
-        scrambled = np.stack([scramble_blocks(im, cfg.q, rng.permutation(n_blocks))
-                              for im in imgs])
-        lc = batch_logits(model, imgs)
-        ls = batch_logits(model, scrambled)
-        max_delta = max(max_delta, float(np.max(np.abs(lc - ls))))
-        labels = dataset.labels[idx].astype(np.int64)
-        clean_hits.append(topk_hits(lc, labels, 1))
-        scr_hits.append(topk_hits(ls, labels, 1))
-    return ScrambleResult(float(np.concatenate(clean_hits).mean()),
-                          float(np.concatenate(scr_hits).mean()), max_delta, n)
+    imgs = norm_images(model, dataset, np.arange(n))
+    scrambled = np.stack([scramble_blocks(im, cfg.q, rng.permutation(n_blocks)) for im in imgs])
+    lc = batch_logits(model, imgs)
+    ls = batch_logits(model, scrambled)
+    labels = dataset.labels[:n].astype(np.int64)
+    return ScrambleResult(float(topk_hits(lc, labels, 1).mean()),
+                          float(topk_hits(ls, labels, 1).mean()),
+                          float(np.max(np.abs(lc - ls))), n)
 
 
 # ---------------------------------------------------------------------------
@@ -592,32 +581,25 @@ def top_patches(model: ModelState, dataset: Dataset, cls: int, k: int,
     (image_index, i, j)."""
     if model.mode != "eval":
         raise PreconditionError("top_patches requires eval mode")
-    n = dataset.count if limit is None else min(limit, dataset.count)
-    same: list[tuple] = []
-    other: list[tuple] = []
-    for idx in range(n):
-        img = norm_images(model, dataset, [idx])[0]
-        em = forward_evidence(model, img)
-        hm, wm = em.logits.shape[1:]
-        label = int(dataset.labels[idx])
-        bucket = same if label == cls else other
-        for i in range(hm):
-            for j in range(wm):
-                bucket.append((-float(em.logits[cls, i, j]), idx, i, j, label))
-    geometry = rf_geometry(model.config)
+    check_class(model, cls)
+    n = analysed_count(dataset, limit)
+    ev = evidence_batch(model, norm_images(model, dataset, np.arange(n)))[:, cls]  # [n, Hm, Wm]
+    order = np.argsort(-ev.reshape(-1), kind="stable")   # ties keep (image, i, j) order
+    labels = dataset.labels[:n].astype(np.int64)
+    same = labels[order // (ev.shape[1] * ev.shape[2])] == cls
+    _, jump, offset = rf_geometry(model.config)
 
-    def build(bucket: list[tuple]) -> list[PatchRecord]:
-        bucket.sort()
+    def build(ranked: np.ndarray) -> list[PatchRecord]:
         records = []
-        for neg_logit, idx, i, j, label in bucket[:k]:
-            _, jump, offset = geometry
+        for idx, i, j in np.transpose(np.unravel_index(ranked[:k], ev.shape)).tolist():
             top, left = offset + i * jump, offset + j * jump
+            label = int(labels[idx])
             records.append(PatchRecord(
                 image_index=idx, location=(i, j), top_left=(top, left),
-                q=model.config.q, cls=cls, logit=-neg_logit, image_label=label,
+                q=model.config.q, cls=cls, logit=float(ev[idx, i, j]), image_label=label,
                 same_label=label == cls,
                 pixels=_extract_patch(dataset.images[idx], top, left, model.config.q)))
         return records
 
-    truncated = len(same) < k or len(other) < k
-    return TopPatches(build(same), build(other), truncated)
+    truncated = bool(min(same.sum(), (~same).sum()) < k)
+    return TopPatches(build(order[same]), build(order[~same]), truncated)

@@ -2,11 +2,11 @@
 features see at most q x q input pixels, a per-location linear
 classifier, and linear spatial aggregation to image logits.
 
-Two routes compute the same evidence map: `forward_evidence` (one pass
-over the whole image) and `patch_oracle_evidence` (every q x q patch
-cropped out and classified independently). The oracle is the semantic
-definition; equality of the two is asserted by tests rather than
-assumed.
+Two routes compute the same evidence map: `evidence_batch` (whole
+images, the one numpy evidence path every analysis reads) and
+`patch_oracle_evidence` (every q x q patch cropped out and classified
+independently). The oracle is the semantic definition; equality of the
+two is asserted by tests rather than assumed.
 
 All convolutions inside blocks use zero padding 0, which is what makes
 the per-patch reading exact; only the stem may pad, and stem padding is
@@ -315,16 +315,48 @@ def forward_features(model: ModelState, x: Tensor, stem_pad: Optional[int] = Non
     return h
 
 
-def classify_features(model: ModelState, feats: Tensor) -> Tensor:
+def forward_logits(model: ModelState, x: Tensor, stem_pad: Optional[int] = None) -> Tensor:
     """Aggregate then classify: spatial mean of features, then the linear
     classifier. Returns [N, num_classes] logits (autodiff path)."""
-    pooled = spatial_mean(feats)
+    pooled = spatial_mean(forward_features(model, x, stem_pad=stem_pad))
     return linear(pooled, model.params["classifier.weight"].value,
                   model.params["classifier.bias"].value)
 
 
-def forward_logits(model: ModelState, x: Tensor, stem_pad: Optional[int] = None) -> Tensor:
-    return classify_features(model, forward_features(model, x, stem_pad=stem_pad))
+# images per network pass of evidence_batch / batch_logits; bounds the
+# activation memory of a pass whatever the size of the batch
+CHUNK = 128
+
+
+def _chunked(model: ModelState, images, fn) -> np.ndarray:
+    """Concatenated fn(chunk) over eval-mode network passes of CHUNK images."""
+    if model.mode != "eval":
+        raise ConfigError("evidence and logits require eval mode")
+    arr = np.asarray(images, dtype=np.float32)
+    # an empty batch still makes one (empty) pass, so the result has its shape
+    return np.concatenate([fn(Tensor(arr[start:start + CHUNK]))
+                           for start in range(0, max(len(arr), 1), CHUNK)])
+
+
+def evidence_batch(model: ModelState, images) -> np.ndarray:
+    """Class evidence at every location of a normalized batch (no softmax):
+    [N,3,H,W] -> [N,K,Hm,Wm] float32, accumulated in float64."""
+    w64 = model.params["classifier.weight"].value.data.astype(np.float64)
+    b64 = model.params["classifier.bias"].value.data.astype(np.float64)
+
+    def classify(x: Tensor) -> np.ndarray:
+        if min(x.shape[2:]) < model.config.q:
+            raise ConfigError("image smaller than the patch size q")
+        feats = forward_features(model, x).data.astype(np.float64)
+        logits = np.einsum("nfhw,kf->nkhw", feats, w64) + b64[None, :, None, None]
+        return logits.astype(np.float32)
+
+    return _chunked(model, images, classify)
+
+
+def batch_logits(model: ModelState, images) -> np.ndarray:
+    """Image-level logits of a normalized batch: [N,3,H,W] -> [N,K]."""
+    return _chunked(model, images, lambda x: forward_logits(model, x).data)
 
 
 @dataclass
@@ -347,11 +379,10 @@ class EvidenceMap:
 
     def interior_mask(self) -> np.ndarray:
         _, hm, wm = self.logits.shape
-        mask = np.zeros((hm, wm), dtype=bool)
-        for i in range(hm):
-            for j in range(wm):
-                mask[i, j] = self.is_interior(i, j)
-        return mask
+        top = self.offset + np.arange(max(hm, wm)) * self.stride   # one axis at a time
+        rows = (top[:hm] >= 0) & (top[:hm] + self.rf_size <= self.input_hw[0])
+        cols = (top[:wm] >= 0) & (top[:wm] + self.rf_size <= self.input_hw[1])
+        return rows[:, None] & cols[None, :]
 
 
 def _single_image(image) -> np.ndarray:
@@ -363,17 +394,9 @@ def _single_image(image) -> np.ndarray:
 
 def forward_evidence(model: ModelState, image) -> EvidenceMap:
     """Class evidence at every location of one [3,H,W] image (no softmax)."""
-    if model.mode != "eval":
-        raise ConfigError("forward_evidence requires eval mode")
     arr = _single_image(image)
-    if min(arr.shape[1], arr.shape[2]) < model.config.q:
-        raise ConfigError("image smaller than the patch size q")
-    feats = forward_features(model, Tensor(arr[None])).data[0]  # [F, Hm, Wm]
-    w64 = model.params["classifier.weight"].value.data.astype(np.float64)
-    b64 = model.params["classifier.bias"].value.data.astype(np.float64)
-    logits = np.einsum("fhw,kf->khw", feats.astype(np.float64), w64) + b64[:, None, None]
     rf, jump, offset = rf_geometry(model.config)
-    return EvidenceMap(logits.astype(np.float32), jump, rf, offset,
+    return EvidenceMap(evidence_batch(model, arr[None])[0], jump, rf, offset,
                        (arr.shape[1], arr.shape[2]))
 
 
@@ -385,10 +408,7 @@ def image_logits(evidence: EvidenceMap) -> np.ndarray:
 def aggregate_then_classify(model: ModelState, image) -> np.ndarray:
     """Spatially average features first, then classify. Must match
     image_logits(forward_evidence(...)) - the two linear steps commute."""
-    if model.mode != "eval":
-        raise ConfigError("aggregate_then_classify requires eval mode")
-    arr = _single_image(image)
-    return forward_logits(model, Tensor(arr[None])).data[0]
+    return batch_logits(model, _single_image(image)[None])[0]
 
 
 def patch_oracle_evidence(model: ModelState, image) -> EvidenceMap:
@@ -447,8 +467,7 @@ class RfCertificate:
 
 
 def location_logits(model: ModelState, image: np.ndarray, loc: tuple[int, int]) -> np.ndarray:
-    em = forward_evidence(model, image)
-    return em.logits[:, loc[0], loc[1]].astype(np.float64)
+    return forward_evidence(model, image).logits[:, loc[0], loc[1]].astype(np.float64)
 
 
 def certify_receptive_field(model: ModelState, location: tuple[int, int],
@@ -484,27 +503,28 @@ def certify_receptive_field(model: ModelState, location: tuple[int, int],
     max_leak = 0.0
     leak_at: Optional[tuple[int, int]] = None
     center_response = 0.0
+    cr, cc = top + q // 2, left + q // 2
     for trial in range(trials):
+        # one network pass per trial: the image, its probes, then the centre
         img = rng.standard_normal((3, size, size)).astype(np.float32)
-        base = location_logits(model, img, location)
         picks = [tuple(p) for p in outside[rng.integers(0, len(outside), size=probes_per_trial)]]
         if trial == 0:
             # always sweep the one-pixel ring just outside the declared
             # window: the tightest place for leakage to show up
             picks = ring + picks
-        for (pr, pc) in picks:
-            probe = img.copy()
-            probe[:, pr, pc] += rng.standard_normal(3).astype(np.float32) * 3.0
-            delta = float(np.max(np.abs(location_logits(model, probe, location) - base)))
-            if delta > max_leak:
-                max_leak = delta
-                leak_at = (int(pr - top), int(pc - left))
-        cr, cc = top + q // 2, left + q // 2
+        batch = np.repeat(img[None], len(picks) + 2, axis=0)
+        for n, (pr, pc) in enumerate(picks, start=1):
+            batch[n, :, pr, pc] += rng.standard_normal(3).astype(np.float32) * 3.0
         if 0 <= cr < size and 0 <= cc < size:
-            probe = img.copy()
-            probe[:, cr, cc] += 3.0
-            center_response = max(center_response, float(
-                np.max(np.abs(location_logits(model, probe, location) - base))))
+            batch[-1, :, cr, cc] += 3.0
+        logits = evidence_batch(model, batch)[:, :, i, j].astype(np.float64)
+        deltas = np.max(np.abs(logits[1:] - logits[0]), axis=1)
+        leaks = deltas[:-1]
+        if leaks.size and leaks.max() > max_leak:
+            first = int(np.argmax(leaks))          # the first strict maximum
+            max_leak = float(leaks[first])
+            leak_at = (int(picks[first][0] - top), int(picks[first][1] - left))
+        center_response = max(center_response, float(deltas[-1]))   # 0 without a centre
     passed = max_leak <= tol and center_response > 0.0
     return RfCertificate(passed, max_leak, None if max_leak <= tol else leak_at,
                          center_response, trials)

@@ -68,3 +68,26 @@ def assert_gradients_close(analytic, numeric, rtol, atol):
     analytic = np.asarray(analytic, dtype=np.float64)
     numeric = np.asarray(numeric, dtype=np.float64)
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
+
+
+def reference_cell_scores(em, cls, p, grid):
+    """Overlap-weighted cell scores by explicit loops over locations and the
+    cells each window meets, in the float32 / float64 steps of the package:
+    each term is rounded to float32, the sum runs in float64 in row-major
+    location order."""
+    gh, gw = grid
+    scores = np.zeros((gh, gw), dtype=np.float64)
+    _, hm, wm = em.logits.shape
+    h, w = em.input_hw
+    q = em.rf_size
+    for i in range(hm):
+        for j in range(wm):
+            top, left = em.offset + i * em.stride, em.offset + j * em.stride
+            value = em.logits[cls, i, j] / np.float32(q * q)
+            for r in range(max(top, 0) // p, (min(top + q, h) - 1) // p + 1):
+                oy = min(top + q, (r + 1) * p, h) - max(top, r * p, 0)
+                for c in range(max(left, 0) // p, (min(left + q, w) - 1) // p + 1):
+                    ox = min(left + q, (c + 1) * p, w) - max(left, c * p, 0)
+                    scores[r, c] += value * np.float32(oy) * np.float32(ox)
+    return scores.reshape(-1)
+

@@ -268,6 +268,40 @@ def test_manifest_written_before_failure(workdir, tmp_path):
     assert (out / "manifest.json").exists()
 
 
-def test_workers_env_default(monkeypatch, workdir, capsys):
-    monkeypatch.setenv("BAGNET_WORKERS", "2")
-    assert main(["dataset", "inspect", str(workdir / "train.bagd")]) == 0
+@pytest.fixture(scope="module")
+def three_class_val(workdir):
+    path = workdir / "val3.bagd"
+    assert main(["dataset", "synth", "--classes", "3", "--per-class", "4", "--size", "16",
+                 "--seed", "5", "--split", "val", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("command", [
+    ["eval"],
+    ["analyze", "threshold", "--thresholds=-inf,0"],
+    ["analyze", "heatmap"],
+    ["analyze", "scatter"],
+    ["analyze", "logitcorr"],
+])
+def test_class_count_mismatch_exits_4(workdir, three_class_val, tmp_path, capsys, command):
+    ck = str(workdir / "run" / "model.bagc")
+    models = (["--checkpoint-a", ck, "--checkpoint-b", ck] if command[-1] in
+              ("scatter", "logitcorr") else ["--checkpoint", ck])
+    rc = main(command + models + ["--data", str(three_class_val), "--out", str(tmp_path / "o")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert ck in err and str(three_class_val) in err
+    assert "2 classes" in err and "has 3" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("analysis,cls", [("heatmap", "2"), ("heatmap", "-1"),
+                                          ("patches", "2"), ("patches", "-1")])
+def test_class_out_of_range_exits_4(workdir, tmp_path, capsys, analysis, cls):
+    rc = main(["analyze", analysis, "--checkpoint", str(workdir / "run" / "model.bagc"),
+               "--data", str(workdir / "val.bagd"), "--class", cls,
+               "--out", str(tmp_path / "o")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert f"class {cls} " in err and "2 classes" in err
+    assert not list((tmp_path / "o").rglob("*.ppm"))

@@ -7,11 +7,15 @@ import pytest
 
 from bagnet.data import Dataset, synth_texture_dataset
 from bagnet.model import (
+    CHUNK,
+    SHIPPED_CONFIGS,
     BagNetConfig,
     BlockSpec,
+    aggregate_then_classify,
     bagnet3_33,
     bagnet9_32,
     build_model,
+    certify_receptive_field,
     forward_evidence,
     image_logits,
 )
@@ -289,6 +293,20 @@ class TestMaskingSensitivity:
         assert scores.shape == (16,)
         assert np.isfinite(scores).all()
 
+    @pytest.mark.parametrize("stride,q,offset,p", [(4, 9, -1, 8), (4, 9, -1, 4), (4, 5, -1, 4),
+                                                   (3, 3, 0, 3), (8, 17, -1, 8), (2, 7, 0, 3)])
+    def test_cell_scores_equal_the_loop_reference(self, stride, q, offset, p):
+        from bagnet.model import EvidenceMap
+        from oracles import reference_cell_scores
+        size = 4 * p * 2
+        m = (size - 2 * offset - q) // stride + 1
+        logits = np.random.default_rng(q).standard_normal((2, m, m)).astype(np.float32)
+        logits[:, ::3] = 0.0
+        em = EvidenceMap(logits, stride, q, offset, (size, size))
+        grid = (size // p, size // p)
+        assert np.array_equal(cell_scores_from_evidence(em, 1, p, grid),
+                              reference_cell_scores(em, 1, p, grid))
+
 
 class TestThresholdSweep:
     def test_clamp_at_minus_infinity_is_vanilla(self, random_model, texture_batch):
@@ -504,3 +522,62 @@ def test_heatmap_completeness(random_model, texture_batch):
     em = forward_evidence(random_model, img)
     lg = batch_logits(random_model, img[None])[0]
     np.testing.assert_allclose(image_logits(em), lg, atol=1e-5)
+
+
+@pytest.mark.parametrize("run", [
+    lambda m, d: interaction_experiment(m, d, p=8, limit=0),
+    lambda m, d: masking_sensitivity(m, ["bagnet"], d, p=8, n_max=1, limit=0),
+    lambda m, d: threshold_sweep(m, d, [0.0], "clamp", limit=0),
+    lambda m, d: top_patches(m, d, 0, k=1, limit=0),
+])
+def test_limit_selecting_no_images_is_refused(random_model, texture_batch, run):
+    with pytest.raises(PreconditionError, match="selects none"):
+        run(random_model, texture_batch)
+
+
+class TestOneBatchedPath:
+    """evidence_batch and batch_logits are the one batched path: splitting a
+    batch into network passes of CHUNK images leaves every number unchanged,
+    and an analysis makes one pass per CHUNK images it reads."""
+
+    @pytest.mark.parametrize("config", sorted(SHIPPED_CONFIGS))
+    def test_chunked_batch_equals_single_images_bit_for_bit(self, config):
+        model = build_model(SHIPPED_CONFIGS[config](), seed=4)
+        size = model.config.input_size
+        imgs = np.random.default_rng(6).standard_normal(
+            (CHUNK + 1, 3, size, size)).astype(np.float32)
+        ev = evidence_batch(model, imgs)
+        lg = batch_logits(model, imgs)
+        for i, img in enumerate(imgs):
+            assert np.array_equal(ev[i], forward_evidence(model, img).logits)
+            assert np.array_equal(lg[i], aggregate_then_classify(model, img))
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Batch size of every network pass."""
+        import bagnet.model as bm
+        sizes = []
+        original = bm.forward_features
+
+        def counting(model, x, stem_pad=None):
+            sizes.append(x.shape[0])
+            return original(model, x, stem_pad=stem_pad)
+
+        monkeypatch.setattr(bm, "forward_features", counting)
+        return sizes
+
+    def test_top_patches_is_one_pass(self, random_model, texture_batch, passes):
+        top_patches(random_model, texture_batch, 1, k=3)
+        assert passes == [texture_batch.count]
+
+    def test_certificate_is_one_pass_per_trial(self, passes):
+        model = build_model(bagnet9_32(), seed=2)
+        assert certify_receptive_field(model, (3, 3), trials=3, seed=0).passed
+        assert len(passes) == 3
+
+    def test_interaction_passes_are_chunks_of_all_variants(self, random_model, texture_batch,
+                                                          passes):
+        n, cells = texture_batch.count, 4          # alternate cells of the 4x4 p=8 grid
+        interaction_experiment(random_model, texture_batch, p=8)
+        assert sum(passes) == n * (2 + cells)
+        assert len(passes) == -(-n * (2 + cells) // CHUNK)

@@ -147,6 +147,9 @@ class TestEvidence:
         assert em.rf_top_left(0, 0) == (-1, -1)      # stem pads by 1
         assert not em.is_interior(0, 0)
         assert em.is_interior(1, 1)
+        _, hm, wm = em.logits.shape
+        assert em.interior_mask().tolist() == [[em.is_interior(i, j) for j in range(wm)]
+                                               for i in range(hm)]
 
     @pytest.mark.parametrize("cfg_fn", [bagnet5_32, bagnet9_32])
     def test_oracle_equivalence(self, cfg_fn):
