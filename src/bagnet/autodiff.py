@@ -365,17 +365,12 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, zero_pad: int = 0) -> Ten
 class BatchNormState:
     """Per-channel running statistics; mutated only in train mode."""
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
-        self.momentum = momentum
-        self.eps = eps
+    momentum = 0.1   # weight of the batch statistics in the running update
+    eps = 1e-5       # added to the variance before the inverse square root
+
+    def __init__(self, channels: int):
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
-
-    def copy(self) -> "BatchNormState":
-        dup = BatchNormState(len(self.running_mean), self.momentum, self.eps)
-        dup.running_mean = self.running_mean.copy()
-        dup.running_var = self.running_var.copy()
-        return dup
 
 
 def _per_channel(v: np.ndarray, dt) -> np.ndarray:
@@ -581,8 +576,7 @@ def sgd_momentum_step(params: Iterable[Parameter], lr: float, momentum: float) -
         _check_finite(p.value.data, "sgd_momentum_step")
 
 
-def fanin_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,
-                 dtype=np.float32) -> np.ndarray:
-    """He-style init: normal with std sqrt(2 / fan_in)."""
+def fanin_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+    """He-style init: float32 normal with std sqrt(2 / fan_in)."""
     std = math.sqrt(2.0 / fan_in)
-    return (rng.standard_normal(shape) * std).astype(dtype)
+    return (rng.standard_normal(shape) * std).astype(np.float32)

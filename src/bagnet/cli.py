@@ -24,7 +24,6 @@ from . import __version__
 from .autodiff import NumericalError, Tensor
 from .data import (
     DataFormatError,
-    Dataset,
     convert_cifar10,
     load_dataset,
     save_dataset,
@@ -35,12 +34,14 @@ from .model import (
     SHIPPED_CONFIGS,
     build_model,
     forward_evidence,
+    forward_features,
     image_logits,
 )
 from .train import (
     CheckpointFormatError,
     TrainConfig,
     evaluate,
+    history_to_csv,
     load_checkpoint,
     model_from_checkpoint,
     save_checkpoint,
@@ -78,19 +79,21 @@ def write_manifest(out_dir: Path, subcommand: str, args: argparse.Namespace,
     (out_dir / "manifest.json").write_text(text)
 
 
-def _load(path, split="val") -> Dataset:
-    return load_dataset(path, split=split)
+def _models_and_data(args, subcommand: str, *checkpoints) -> tuple:
+    """(model per checkpoint..., dataset, output dir) of `eval` and the analyses.
 
-
-def _models_and_data(data, *checkpoints) -> tuple:
-    """(model per checkpoint..., dataset); each model must have the dataset's classes."""
+    Each model must have the dataset's classes; once that holds, the manifest
+    is written, before the command checks any precondition of its own.
+    """
     models = [model_from_checkpoint(load_checkpoint(path)) for path in checkpoints]
-    ds = _load(data)
+    ds = load_dataset(args.data, split="val")
     for path, model in zip(checkpoints, models):
         if model.config.num_classes != ds.num_classes:
             raise itp.PreconditionError(f"{path} has {model.config.num_classes} classes "
-                                        f"but {data} has {ds.num_classes}")
-    return (*models, ds)
+                                        f"but {args.data} has {ds.num_classes}")
+    out = Path(args.out)
+    write_manifest(out, subcommand, args, [*checkpoints, args.data])
+    return (*models, ds, out)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +119,7 @@ def cmd_dataset_convert(args) -> int:
 
 
 def cmd_dataset_inspect(args) -> int:
-    ds = _load(args.path)
+    ds = load_dataset(args.path)
     print(f"file: {args.path}")
     print(f"count: {ds.count}")
     print(f"size: {ds.size}")
@@ -130,8 +133,8 @@ def cmd_dataset_inspect(args) -> int:
 # train / eval
 
 def cmd_train(args) -> int:
-    train_set = _load(args.data, split="train")
-    val_set = _load(args.val, split="val") if args.val else train_set
+    train_set = load_dataset(args.data, split="train")
+    val_set = load_dataset(args.val, split="val") if args.val else train_set
     config = SHIPPED_CONFIGS[args.config](num_classes=train_set.num_classes)
     tc = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr0=args.lr0,
                      momentum=args.momentum, decay_factor=args.decay_factor,
@@ -147,7 +150,6 @@ def cmd_train(args) -> int:
               (row["epoch"], row["lr"], row["train_loss"], row["val_top1"]))
 
     ckpt = train(model, train_set, val_set, tc, sink=sink)
-    from .train import history_to_csv
     (out / "metrics.csv").write_text(history_to_csv(ckpt.history))
     save_checkpoint(ckpt, out / "model.bagc")
     if ckpt.diverged:
@@ -157,10 +159,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, ds = _models_and_data(args.data, args.checkpoint)
+    model, ds, out = _models_and_data(args, "eval", args.checkpoint)
     result = evaluate(model, ds, k=args.topk)
-    out = Path(args.out)
-    write_manifest(out, "eval", args, [args.checkpoint, args.data])
     lines = ["metric,value", "top%d_accuracy,%.9g" % (args.topk, result.topk_accuracy)]
     for c, acc in enumerate(result.per_class):
         lines.append("class%d_accuracy,%.9g" % (c, acc))
@@ -174,9 +174,7 @@ def cmd_eval(args) -> int:
 # analyses
 
 def cmd_analyze_heatmap(args) -> int:
-    model, ds = _models_and_data(args.data, args.checkpoint)
-    out = Path(args.out)
-    write_manifest(out, "analyze heatmap", args, [args.checkpoint, args.data])
+    model, ds, out = _models_and_data(args, "analyze heatmap", args.checkpoint)
     if not 0 <= args.image < ds.count:
         raise itp.PreconditionError(
             f"--image {args.image} is out of range: {args.data} has {ds.count} images")
@@ -193,9 +191,7 @@ def cmd_analyze_heatmap(args) -> int:
 
 
 def cmd_analyze_patches(args) -> int:
-    model, ds = _models_and_data(args.data, args.checkpoint)
-    out = Path(args.out)
-    write_manifest(out, "analyze patches", args, [args.checkpoint, args.data])
+    model, ds, out = _models_and_data(args, "analyze patches", args.checkpoint)
     result = itp.top_patches(model, ds, args.cls, args.k, limit=args.limit)
     patch_dir = out / "patches"
     patch_dir.mkdir(parents=True, exist_ok=True)
@@ -211,9 +207,7 @@ def cmd_analyze_patches(args) -> int:
 
 
 def cmd_analyze_interaction(args) -> int:
-    model, ds = _models_and_data(args.data, args.checkpoint)
-    out = Path(args.out)
-    write_manifest(out, "analyze interaction", args, [args.checkpoint, args.data])
+    model, ds, out = _models_and_data(args, "analyze interaction", args.checkpoint)
     result = itp.interaction_experiment(model, ds, args.p, limit=args.limit,
                                         class_mode=args.class_mode)
     (out / "interaction.csv").write_text(itp.interaction_csv(result))
@@ -224,9 +218,7 @@ def cmd_analyze_interaction(args) -> int:
 
 
 def cmd_analyze_sensitivity(args) -> int:
-    model, ds = _models_and_data(args.data, args.checkpoint)
-    out = Path(args.out)
-    write_manifest(out, "analyze sensitivity", args, [args.checkpoint, args.data])
+    model, ds, out = _models_and_data(args, "analyze sensitivity", args.checkpoint)
     sources = args.sources.split(",")
     curves = itp.masking_sensitivity(model, sources, ds, p=args.p, n_max=args.n_max,
                                      seed=args.seed, limit=args.limit)
@@ -238,9 +230,7 @@ def cmd_analyze_sensitivity(args) -> int:
 
 
 def cmd_analyze_threshold(args) -> int:
-    model, ds = _models_and_data(args.data, args.checkpoint)
-    out = Path(args.out)
-    write_manifest(out, "analyze threshold", args, [args.checkpoint, args.data])
+    model, ds, out = _models_and_data(args, "analyze threshold", args.checkpoint)
     thresholds = [float(t) for t in args.thresholds.split(",")]
     modes = ["clamp", "binarize"] if args.mode == "both" else [args.mode]
     rows = []
@@ -254,9 +244,7 @@ def cmd_analyze_threshold(args) -> int:
 
 
 def cmd_analyze_scramble(args) -> int:
-    model, ds = _models_and_data(args.data, args.checkpoint)
-    out = Path(args.out)
-    write_manifest(out, "analyze scramble", args, [args.checkpoint, args.data])
+    model, ds, out = _models_and_data(args, "analyze scramble", args.checkpoint)
     result = itp.scramble_test(model, ds, seed=args.seed, limit=args.limit)
     text = ("metric,value\nclean_accuracy,%.9g\nscrambled_accuracy,%.9g\n"
             "max_logit_delta,%.9g\nn_images,%d\n" %
@@ -269,10 +257,8 @@ def cmd_analyze_scramble(args) -> int:
 
 
 def cmd_analyze_scatter(args) -> int:
-    model_a, model_b, ds = _models_and_data(args.data, args.checkpoint_a, args.checkpoint_b)
-    out = Path(args.out)
-    write_manifest(out, "analyze scatter", args,
-                   [args.checkpoint_a, args.checkpoint_b, args.data])
+    model_a, model_b, ds, out = _models_and_data(args, "analyze scatter",
+                                                 args.checkpoint_a, args.checkpoint_b)
     eval_a = evaluate(model_a, ds, k=args.topk)
     eval_b = evaluate(model_b, ds, k=args.topk)
     result = itp.per_class_scatter(eval_a.per_class, eval_b.per_class)
@@ -282,10 +268,8 @@ def cmd_analyze_scatter(args) -> int:
 
 
 def cmd_analyze_logitcorr(args) -> int:
-    model_a, model_b, ds = _models_and_data(args.data, args.checkpoint_a, args.checkpoint_b)
-    out = Path(args.out)
-    write_manifest(out, "analyze logitcorr", args,
-                   [args.checkpoint_a, args.checkpoint_b, args.data])
+    model_a, model_b, ds, out = _models_and_data(args, "analyze logitcorr",
+                                                 args.checkpoint_a, args.checkpoint_b)
     eval_a = evaluate(model_a, ds, k=1)
     eval_b = evaluate(model_b, ds, k=1)
     r = itp.logit_correlation(eval_a.logits, eval_b.logits)
@@ -304,7 +288,6 @@ def cmd_bench(args) -> int:
     size = args.size or model.config.input_size
     rng = np.random.default_rng(0)
     batch = rng.standard_normal((args.batch, 3, size, size)).astype(np.float32)
-    from .model import forward_features
     forward_features(model, Tensor(batch))  # warmup
     rates = []
     for _ in range(args.iters):
@@ -366,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     an = sub.add_parser("analyze").add_subparsers(dest="analysis", required=True)
 
-    def common(p, two_models=False):
+    def common(p, two_models=False, limit=False, seed=False):
+        """The inputs and output of an analysis, plus --limit and --seed
+        where the analysis reads them."""
         if two_models:
             p.add_argument("--checkpoint-a", dest="checkpoint_a", required=True)
             p.add_argument("--checkpoint-b", dest="checkpoint_b", required=True)
@@ -374,8 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--checkpoint", required=True)
         p.add_argument("--data", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--limit", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
+        if limit:
+            p.add_argument("--limit", type=int, default=None, metavar="N",
+                           help="analyse the first N images (default: all)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
 
     p = an.add_parser("heatmap")
     common(p)
@@ -383,30 +371,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="cls", default="pred")
     p.set_defaults(func=cmd_analyze_heatmap)
     p = an.add_parser("patches")
-    common(p)
+    common(p, limit=True)
     p.add_argument("--class", dest="cls", type=int, required=True)
     p.add_argument("--k", type=int, default=7)
     p.set_defaults(func=cmd_analyze_patches)
     p = an.add_parser("interaction")
-    common(p)
+    common(p, limit=True)
     p.add_argument("--p", type=int, default=8)
     p.add_argument("--class-mode", dest="class_mode", choices=["label", "pred"],
                    default="label")
     p.set_defaults(func=cmd_analyze_interaction)
     p = an.add_parser("sensitivity")
-    common(p)
+    common(p, limit=True, seed=True)
     p.add_argument("--sources", default="bagnet,saliency,ig,random")
     p.add_argument("--p", type=int, default=8)
     p.add_argument("--n-max", type=int, dest="n_max", default=8)
     p.set_defaults(func=cmd_analyze_sensitivity)
     p = an.add_parser("threshold")
-    common(p)
+    common(p, limit=True)
     p.add_argument("--mode", choices=["clamp", "binarize", "both"], default="both")
     p.add_argument("--thresholds", required=True)
     p.add_argument("--topk", type=int, default=1)
     p.set_defaults(func=cmd_analyze_threshold)
     p = an.add_parser("scramble")
-    common(p)
+    common(p, limit=True, seed=True)
     p.set_defaults(func=cmd_analyze_scramble)
     p = an.add_parser("scatter")
     common(p, two_models=True)

@@ -138,8 +138,7 @@ def load_dataset(path, split: str = "train") -> Dataset:
     return Dataset(images, labels, names, split=split)
 
 
-def convert_cifar10(batch_paths, class_names: Optional[list[str]] = None,
-                    split: str = "train") -> Dataset:
+def convert_cifar10(batch_paths, split: str = "train") -> Dataset:
     """Ingest CIFAR-10 binary batches (1 label byte + 3072 planar-RGB bytes
     per record)."""
     record = 1 + 3 * 32 * 32
@@ -153,7 +152,7 @@ def convert_cifar10(batch_paths, class_names: Optional[list[str]] = None,
         labels.append(arr[:, 0].copy())
         images.append(arr[:, 1:].reshape(-1, 3, 32, 32).copy())
     return Dataset(np.concatenate(images), np.concatenate(labels),
-                   class_names or list(CIFAR10_NAMES), split=split)
+                   list(CIFAR10_NAMES), split=split)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +230,6 @@ class AugmentSpec:
     resize_shorter_to: int
     crop: int
     horizontal_flip: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.crop > self.resize_shorter_to:

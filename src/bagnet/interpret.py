@@ -21,6 +21,7 @@ import numpy as np
 from .autodiff import Tensor, softmax, weighted_sum
 from .data import Dataset, STREAM_ANALYSIS, normalize_images, seed_stream
 from .model import (
+    CHUNK,
     EvidenceMap,
     ModelState,
     batch_logits,
@@ -187,17 +188,24 @@ def interaction_pairs(logit_fn: Callable[[np.ndarray], np.ndarray],
                       spec: MaskSpec) -> tuple[np.ndarray, np.ndarray]:
     """For each image: lhs = l(x) - l(x + sum_i d_i) with all patches masked
     jointly; rhs = sum_i (l(x) - l(x + d_i)) one patch at a time. `logit_fn`
-    maps an image batch to [N, K] logits and is called once, on every
-    image's variants; the tracked class is per image."""
-    variants = []
-    for img in images:
-        masked, deltas = apply_mask(img, spec)
-        variants += [img, masked] + [add_delta(img, d) for d in deltas]
-    logits = np.asarray(logit_fn(np.stack(variants)), dtype=np.float64)
-    # every image has the same cells, so its rows are x, joint, then singles
-    n = len(images)
-    per_image = logits.reshape(n, -1, logits.shape[1])
-    tracked = per_image[np.arange(n), :, np.asarray(classes, dtype=np.int64)]   # [n, rows]
+    maps an image batch to [N, K] logits; it is called on the variants of
+    whole images, at most CHUNK rows at a time unless one image has more,
+    so memory stays bounded whatever the number of images. The tracked
+    class is per image."""
+    classes = np.asarray(classes, dtype=np.int64)
+    rows = 2 + len(selected_cells(spec, *np.shape(images)[2:]))   # x, joint, then singles
+    group = max(1, CHUNK // rows)
+    tracked = []
+    for start in range(0, len(images), group):
+        variants = []
+        for img in images[start:start + group]:
+            masked, deltas = apply_mask(img, spec)
+            variants += [img, masked] + [add_delta(img, d) for d in deltas]
+        logits = np.asarray(logit_fn(np.stack(variants)), dtype=np.float64)
+        per_image = logits.reshape(-1, rows, logits.shape[1])
+        cls = classes[start:start + group]
+        tracked.append(per_image[np.arange(len(cls)), :, cls])   # [images, rows]
+    tracked = np.concatenate(tracked)
     return tracked[:, 0] - tracked[:, 1], np.sum(tracked[:, :1] - tracked[:, 2:], axis=1)
 
 
@@ -255,19 +263,17 @@ def saliency(model: ModelState, image: np.ndarray, cls: int) -> np.ndarray:
 
 
 def integrated_gradients(model: ModelState, image: np.ndarray, cls: int,
-                         steps: int = 64,
-                         baseline: Optional[np.ndarray] = None) -> np.ndarray:
+                         steps: int = 64) -> np.ndarray:
     """Midpoint Riemann sum of gradients along the straight path from the
-    baseline (default: zero image), times (image - baseline), channel-summed."""
+    zero image, times the image, channel-summed."""
     if steps < 8:
         raise PreconditionError("integrated gradients needs steps >= 8")
     img = np.asarray(image, dtype=np.float32)
-    base = np.zeros_like(img) if baseline is None else np.asarray(baseline, dtype=np.float32)
     alphas = (np.arange(steps, dtype=np.float64) + 0.5) / steps
-    path = base[None] + alphas[:, None, None, None].astype(np.float32) * (img - base)[None]
-    grads = _class_gradient(model, path.astype(np.float32), cls)
+    path = alphas[:, None, None, None].astype(np.float32) * img[None]
+    grads = _class_gradient(model, path, cls)
     avg = grads.astype(np.float64).mean(axis=0)
-    return ((img - base).astype(np.float64) * avg).sum(axis=0)
+    return (img.astype(np.float64) * avg).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +317,7 @@ def cell_scores_from_evidence(em: EvidenceMap, cls: int, p: int,
 
 def masking_sensitivity(model: ModelState, sources: Sequence[str], dataset: Dataset,
                         p: int = 8, n_max: int = 8, seed: int = 0,
-                        limit: Optional[int] = None, granularity: int = 1,
-                        ig_steps: int = 32,
+                        limit: Optional[int] = None, ig_steps: int = 32,
                         random_draws: int = 4) -> dict[str, SensitivityCurve]:
     """Mask the top-n p x p cells ranked by each source (dc fill) and track
     the model's probability of its original leading class, n = 0..n_max.
@@ -329,9 +334,7 @@ def masking_sensitivity(model: ModelState, sources: Sequence[str], dataset: Data
     gh, gw = grid_cells(size, size, p, (0, 0))
     if n_max > gh * gw:
         raise PreconditionError(f"n_max={n_max} exceeds the {gh * gw} available cells")
-    ns = list(range(0, n_max + 1, granularity))
-    if ns[-1] != n_max:
-        ns.append(n_max)
+    ns = list(range(n_max + 1))
     per_image = {s: np.zeros((n_imgs, len(ns))) for s in sources}
 
     def trajectory(img, leading, scores):

@@ -99,26 +99,22 @@ class BagNetConfig:
         return layers
 
 
-def receptive_field(config: BagNetConfig) -> tuple[int, int]:
-    """(rf, stride) of the topmost feature layer via the composition
-    recurrence rf += (k-1)*jump; jump *= stride."""
-    rf, jump = 1, 1
-    for k, s, _ in config.layer_geometry():
-        rf += (k - 1) * jump
-        jump *= s
-    return rf, jump
-
-
 def rf_geometry(config: BagNetConfig) -> tuple[int, int, int]:
     """(rf, jump, offset): location (i, j) of the top feature map reads the
     pixel window with top-left corner (offset + i*jump, offset + j*jump).
-    Offset is negative when the stem pads."""
+    Offset is negative when the stem pads. Composition recurrence:
+    rf += (k-1)*jump; jump *= stride."""
     rf, jump, offset = 1, 1, 0
     for k, s, p in config.layer_geometry():
         offset -= p * jump
         rf += (k - 1) * jump
         jump *= s
     return rf, jump, offset
+
+
+def receptive_field(config: BagNetConfig) -> tuple[int, int]:
+    """(rf, stride) of the topmost feature layer."""
+    return rf_geometry(config)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +311,10 @@ def forward_features(model: ModelState, x: Tensor, stem_pad: Optional[int] = Non
     return h
 
 
-def forward_logits(model: ModelState, x: Tensor, stem_pad: Optional[int] = None) -> Tensor:
+def forward_logits(model: ModelState, x: Tensor) -> Tensor:
     """Aggregate then classify: spatial mean of features, then the linear
     classifier. Returns [N, num_classes] logits (autodiff path)."""
-    pooled = spatial_mean(forward_features(model, x, stem_pad=stem_pad))
+    pooled = spatial_mean(forward_features(model, x))
     return linear(pooled, model.params["classifier.weight"].value,
                   model.params["classifier.bias"].value)
 
@@ -442,7 +438,7 @@ def patch_oracle_evidence(model: ModelState, image) -> EvidenceMap:
 
 def predict(model: ModelState, image) -> tuple[int, np.ndarray]:
     """(argmax class, softmax probabilities); ties go to the lowest index."""
-    logits = image_logits(forward_evidence(model, image))
+    logits = aggregate_then_classify(model, image)
     probs = softmax(logits)
     return int(np.argmax(logits)), probs
 
@@ -470,15 +466,19 @@ def location_logits(model: ModelState, image: np.ndarray, loc: tuple[int, int]) 
     return forward_evidence(model, image).logits[:, loc[0], loc[1]].astype(np.float64)
 
 
+# random outside pixels perturbed per certification trial, and the largest
+# logit change at the certified location that still counts as no leak
+PROBES_PER_TRIAL = 24
+LEAK_TOL = 1e-6
+
+
 def certify_receptive_field(model: ModelState, location: tuple[int, int],
-                            trials: int = 8, seed: int = 0,
-                            probes_per_trial: int = 24,
-                            tol: float = 1e-6) -> RfCertificate:
+                            trials: int = 8, seed: int = 0) -> RfCertificate:
     """Empirically check that the evidence at `location` ignores every pixel
     outside its declared q x q window and reacts to the window center.
 
     Perturbs random outside pixels of random images; any logit change above
-    `tol` fails the certificate and names the offending pixel offset.
+    LEAK_TOL fails the certificate and names the offending pixel offset.
     """
     if model.mode != "eval":
         raise ConfigError("certification requires eval mode")
@@ -507,7 +507,7 @@ def certify_receptive_field(model: ModelState, location: tuple[int, int],
     for trial in range(trials):
         # one network pass per trial: the image, its probes, then the centre
         img = rng.standard_normal((3, size, size)).astype(np.float32)
-        picks = [tuple(p) for p in outside[rng.integers(0, len(outside), size=probes_per_trial)]]
+        picks = [tuple(p) for p in outside[rng.integers(0, len(outside), size=PROBES_PER_TRIAL)]]
         if trial == 0:
             # always sweep the one-pixel ring just outside the declared
             # window: the tightest place for leakage to show up
@@ -525,8 +525,8 @@ def certify_receptive_field(model: ModelState, location: tuple[int, int],
             max_leak = float(leaks[first])
             leak_at = (int(picks[first][0] - top), int(picks[first][1] - left))
         center_response = max(center_response, float(deltas[-1]))   # 0 without a centre
-    passed = max_leak <= tol and center_response > 0.0
-    return RfCertificate(passed, max_leak, None if max_leak <= tol else leak_at,
+    passed = max_leak <= LEAK_TOL and center_response > 0.0
+    return RfCertificate(passed, max_leak, None if max_leak <= LEAK_TOL else leak_at,
                          center_response, trials)
 
 

@@ -25,7 +25,15 @@ from .autodiff import (
     softmax_cross_entropy,
 )
 from .data import AugmentSpec, Dataset, batch_iterator, channel_stats, normalize_images
-from .model import BagNetConfig, BlockSpec, ConfigError, ModelState, build_model, forward_logits
+from .model import (
+    BagNetConfig,
+    BlockSpec,
+    ConfigError,
+    ModelState,
+    batch_logits,
+    build_model,
+    forward_logits,
+)
 
 CHECKPOINT_MAGIC = b"BAGC"
 CHECKPOINT_VERSION = 1
@@ -91,16 +99,13 @@ def topk_hits(logits: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
 
 def evaluate(model: ModelState, dataset: Dataset, k: int = 1,
              batch_size: int = 256) -> EvalResult:
-    if model.mode != "eval":
-        raise ConfigError("evaluate requires eval mode")
     if k > dataset.num_classes:
         raise ValueError(f"k={k} exceeds {dataset.num_classes} classes")
-    chunks = []
-    for start in range(0, dataset.count, batch_size):
-        raw = dataset.images[start:start + batch_size]
-        x = normalize_images(raw, model.norm_mean, model.norm_std)
-        chunks.append(forward_logits(model, Tensor(x)).data)
-    logits = np.concatenate(chunks)
+    # batch_size bounds the normalized copy; batch_logits bounds each network pass
+    logits = np.concatenate([
+        batch_logits(model, normalize_images(dataset.images[start:start + batch_size],
+                                             model.norm_mean, model.norm_std))
+        for start in range(0, dataset.count, batch_size)])
     labels = dataset.labels.astype(np.int64)
     hits = topk_hits(logits, labels, k)
     per_class = np.zeros(dataset.num_classes)

@@ -1,13 +1,16 @@
 """End-to-end command-line checks on tiny inputs: artifact layout, exit
 codes and byte-identical reruns."""
 
+import argparse
+import contextlib
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from bagnet.cli import main
+from bagnet.cli import build_parser, main
+from bagnet.interpret import PreconditionError
 from bagnet.train import load_checkpoint, save_checkpoint
 
 SYNTH = ["dataset", "synth", "--classes", "2", "--per-class", "8", "--size", "16",
@@ -305,3 +308,53 @@ def test_class_out_of_range_exits_4(workdir, tmp_path, capsys, analysis, cls):
     err = capsys.readouterr().err
     assert f"class {cls} " in err and "2 classes" in err
     assert not list((tmp_path / "o").rglob("*.ppm"))
+
+
+# the options of each analysis beyond its checkpoint(s), --data and --out,
+# with values that let it run on the tiny workdir inputs
+ANALYSIS_ARGS = {
+    "heatmap": ["--image", "1", "--class", "0"],
+    "patches": ["--class", "1", "--k", "2", "--limit", "8"],
+    "interaction": ["--p", "8", "--class-mode", "pred", "--limit", "4"],
+    "sensitivity": ["--sources", "bagnet,random", "--p", "8", "--n-max", "1",
+                    "--limit", "2", "--seed", "1"],
+    "threshold": ["--mode", "clamp", "--thresholds=-inf,0", "--topk", "1", "--limit", "8"],
+    "scramble": ["--limit", "4", "--seed", "1"],
+    "scatter": ["--topk", "1"],
+    "logitcorr": [],
+}
+
+
+def _analysis_argv(workdir, tmp_path, analysis):
+    ck = str(workdir / "run" / "model.bagc")
+    models = (["--checkpoint-a", ck, "--checkpoint-b", ck] if analysis in ("scatter", "logitcorr")
+              else ["--checkpoint", ck])
+    return (["analyze", analysis] + models + ["--data", str(workdir / "val.bagd"),
+                                             "--out", str(tmp_path / analysis)]
+            + ANALYSIS_ARGS[analysis])
+
+
+@pytest.mark.parametrize("analysis", sorted(ANALYSIS_ARGS))
+def test_analysis_options_are_exactly_those_its_command_reads(workdir, tmp_path, analysis):
+    args = build_parser().parse_args(_analysis_argv(workdir, tmp_path, analysis))
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    # scramble refuses the non-tiling bagnet5_32 after reading its options
+    with contextlib.suppress(PreconditionError):
+        args.func(Recording(**vars(args)))
+    options = set(vars(args)) - {"command", "analysis", "func"}
+    assert {name for name in read if not name.startswith("_")} == options
+
+
+@pytest.mark.parametrize("analysis,flag", [("heatmap", ["--seed", "1"]),
+                                           ("scatter", ["--limit", "3"])])
+def test_flag_the_analysis_does_not_read_is_a_usage_error(workdir, tmp_path, analysis, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(_analysis_argv(workdir, tmp_path, analysis) + flag)
+    assert exc.value.code == 2
+    assert not (tmp_path / analysis).exists()

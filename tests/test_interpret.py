@@ -581,3 +581,27 @@ class TestOneBatchedPath:
         interaction_experiment(random_model, texture_batch, p=8)
         assert sum(passes) == n * (2 + cells)
         assert len(passes) == -(-n * (2 + cells) // CHUNK)
+
+    @pytest.mark.parametrize("p,cells", [(8, 4), (4, 16), (1, 256)])
+    def test_interaction_logit_fn_gets_bounded_groups_of_whole_images(self, texture_batch,
+                                                                      p, cells):
+        """interaction_pairs hands logit_fn the variants of whole images, never
+        more than CHUNK rows unless one image alone has more; lhs and rhs are
+        those of one call per image."""
+        images = texture_batch.images.astype(np.float32) / 255.0
+        classes = texture_batch.labels.astype(np.int64) % 3
+        spec = MaskSpec(p=p)
+        calls = []
+
+        def logit_fn(batch):     # [N,3,H,W] -> [N,3]: the channel means
+            calls.append(len(batch))
+            return batch.reshape(len(batch), 3, -1).mean(axis=2)
+
+        lhs, rhs = interaction_pairs(logit_fn, images, classes, spec)
+        assert sum(calls) == len(images) * (2 + cells)
+        assert max(calls) <= max(CHUNK, 2 + cells)
+        assert all(c % (2 + cells) == 0 for c in calls)
+        single = [interaction_pairs(logit_fn, images[i:i + 1], classes[i:i + 1], spec)
+                  for i in range(len(images))]
+        assert np.array_equal(lhs, np.concatenate([l for l, _ in single]))
+        assert np.array_equal(rhs, np.concatenate([r for _, r in single]))
