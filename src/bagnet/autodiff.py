@@ -53,6 +53,7 @@ not here.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 from typing import Iterable, Optional, Sequence
@@ -72,6 +73,30 @@ class NumericalError(ArithmeticError):
 class MissingGradientError(RuntimeError):
     """Optimizer step requested for a parameter without a gradient."""
 
+
+def _keep_freed_buffers() -> None:
+    """Have glibc malloc keep freed op buffers for the next op to reuse.
+
+    By default glibc serves a buffer above its mmap threshold (128 KiB,
+    raised as large buffers are freed) with a fresh mapping, unmaps it on
+    free, and hands the free top of the heap back once it passes 128 KiB.
+    Every pass then faults its im2col and activation buffers in anew: one
+    round of the analyses took about 82,000 minor page faults, some 40% of
+    its time, and a cost that varies with the state of the host. A fixed
+    32 MiB mmap threshold (glibc's ceiling) and a 1 GiB trim threshold keep
+    those pages in the process. A C library without mallopt (or a
+    platform where ctypes cannot open the running process) is left alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 1 << 30)
+
+
+_keep_freed_buffers()
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 _node_ids = itertools.count()

@@ -104,15 +104,22 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path, split: str = "train") -> Dataset:
+    """Read a file written by `save_dataset`. A file that departs from that
+    layout, down to bytes after the last image, raises a DataFormatError
+    naming the file, the field and its offset."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise BadMagicError(f"{path}: bad magic {blob[:4]!r} at offset 0")
     if len(blob) < 12:
-        raise TruncatedPayloadError(f"{path}: header truncated")
+        raise TruncatedPayloadError(f"{path}: header truncated at offset {len(blob)} "
+                                    "(it has 12 bytes)")
     version, count, size, num_classes = struct.unpack_from("<BIHB", blob, 4)
     if version != FORMAT_VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}")
+        raise DataFormatError(f"{path}: unsupported version {version} at offset 4")
+    if min(count, size, num_classes) < 1:
+        raise DataFormatError(f"{path}: count {count}, size {size} and {num_classes} classes "
+                              "at offset 5 must each be at least 1")
     off = 12
     names = []
     for _ in range(num_classes):
@@ -122,19 +129,27 @@ def load_dataset(path, split: str = "train") -> Dataset:
         off += 1
         if off + n > len(blob):
             raise TruncatedPayloadError(f"{path}: class name truncated at offset {off}")
-        names.append(blob[off:off + n].decode("utf-8"))
+        try:
+            names.append(blob[off:off + n].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: class name {len(names)} at offset {off} "
+                                  f"is not UTF-8 ({exc.reason})") from None
         off += n
     need = count + count * 3 * size * size
     if len(blob) - off < need:
         raise TruncatedPayloadError(
             f"{path}: payload truncated at offset {off} (need {need} more bytes, "
             f"have {len(blob) - off})")
+    if len(blob) - off > need:
+        raise DataFormatError(f"{path}: {len(blob) - off - need} bytes after the last image, "
+                              f"at offset {off + need}")
     labels = np.frombuffer(blob, dtype=np.uint8, count=count, offset=off).copy()
-    off += count
+    bad = np.flatnonzero(labels >= num_classes)
+    if bad.size:
+        raise LabelRangeError(f"{path}: label {labels[bad[0]]} at offset {off + bad[0]} "
+                              f"out of range [0,{num_classes})")
     images = np.frombuffer(blob, dtype=np.uint8, count=count * 3 * size * size,
-                           offset=off).reshape(count, 3, size, size).copy()
-    if count and labels.max() >= num_classes:
-        raise LabelRangeError(f"{path}: label {labels.max()} out of range [0,{num_classes})")
+                           offset=off + count).reshape(count, 3, size, size).copy()
     return Dataset(images, labels, names, split=split)
 
 

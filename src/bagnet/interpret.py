@@ -12,7 +12,6 @@ explicit degenerate outcome, never a silent 0 or 1.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -28,6 +27,7 @@ from .model import (
     evidence_batch,
     forward_evidence,
     forward_logits,
+    frozen_params,
     rf_geometry,
 )
 from .train import topk_hits
@@ -74,18 +74,6 @@ def norm_images(model: ModelState, dataset: Dataset, indices) -> np.ndarray:
     return normalize_images(dataset.images[indices], model.norm_mean, model.norm_std)
 
 
-@contextlib.contextmanager
-def frozen_params(model: ModelState):
-    """Temporarily stop gradient flow into parameters (input-gradient runs)."""
-    for p in model.params.values():
-        p.value.requires_grad = False
-    try:
-        yield
-    finally:
-        for p in model.params.values():
-            p.value.requires_grad = True
-
-
 # ---------------------------------------------------------------------------
 # masking
 
@@ -113,6 +101,8 @@ class PatchDelta:
 
 def grid_cells(h: int, w: int, p: int, phase: tuple[int, int]) -> tuple[int, int]:
     r0, c0 = phase
+    if p < 1:
+        raise PreconditionError(f"cell size p={p} must be at least 1")
     if not (0 <= r0 < p and 0 <= c0 < p):
         raise PreconditionError("phase must lie inside one cell")
     if (h - r0) % p or (w - c0) % p:
@@ -332,8 +322,8 @@ def masking_sensitivity(model: ModelState, sources: Sequence[str], dataset: Data
     n_imgs = analysed_count(dataset, limit)
     size = dataset.size
     gh, gw = grid_cells(size, size, p, (0, 0))
-    if n_max > gh * gw:
-        raise PreconditionError(f"n_max={n_max} exceeds the {gh * gw} available cells")
+    if not 0 <= n_max <= gh * gw:
+        raise PreconditionError(f"n_max={n_max} is outside 0..{gh * gw}, the available cells")
     ns = list(range(n_max + 1))
     per_image = {s: np.zeros((n_imgs, len(ns))) for s in sources}
 
@@ -585,6 +575,8 @@ def top_patches(model: ModelState, dataset: Dataset, cls: int, k: int,
     if model.mode != "eval":
         raise PreconditionError("top_patches requires eval mode")
     check_class(model, cls)
+    if k < 1:
+        raise PreconditionError(f"k={k}: top_patches needs k >= 1")
     n = analysed_count(dataset, limit)
     ev = evidence_batch(model, norm_images(model, dataset, np.arange(n)))[:, cls]  # [n, Hm, Wm]
     order = np.argsort(-ev.reshape(-1), kind="stable")   # ties keep (image, i, j) order

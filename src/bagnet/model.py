@@ -16,8 +16,11 @@ shrinks the main path crop the shortcut to the top-left to match.
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import functools
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -90,25 +93,48 @@ class BagNetConfig:
         if self.num_classes < 1 or self.input_size < self.q:
             raise ConfigError("need num_classes >= 1 and input_size >= q")
 
-    def layer_geometry(self) -> list[tuple[int, int, int]]:
-        """(kernel, stride, pad) of every layer that moves the window:
-        the stem and each block's middle conv."""
-        k, s, p, _ = self.stem
-        layers = [(k, s, p)]
-        layers.extend((b.kernel, b.stride, 0) for b in self.blocks)
-        return layers
+
+class ConvBN(NamedTuple):
+    """One conv -> batch-norm pair: its parameters are `{conv}.weight`,
+    `{bn}.gamma` and `{bn}.beta`, its batch-norm state `{bn}`."""
+    conv: str
+    bn: str
+    cin: int
+    cout: int
+    kernel: int = 1
+    stride: int = 1
+    pad: int = 0
+
+
+@functools.lru_cache(maxsize=32)
+def layer_table(config: BagNetConfig) -> tuple[ConvBN, tuple[tuple, ...]]:
+    """The network, written down once: (stem, blocks), each block being
+    (conv1, conv2, conv3, shortcut or None). `build_model` creates the
+    parameters in this order, `forward_features` applies it and
+    `rf_geometry` composes its main path. Built once per (frozen) config."""
+    k, s, p, c = config.stem
+    blocks = []
+    for i, b in enumerate(config.blocks):
+        n, cin, mid, cout = f"block{i}", b.in_channels, b.mid_channels, b.out_channels
+        blocks.append((ConvBN(f"{n}.conv1", f"{n}.bn1", cin, mid),
+                       ConvBN(f"{n}.conv2", f"{n}.bn2", mid, mid, b.kernel, b.stride),
+                       ConvBN(f"{n}.conv3", f"{n}.bn3", mid, cout),
+                       ConvBN(f"{n}.shortcut", f"{n}.bn_sc", cin, cout, stride=b.stride)
+                       if b.needs_shortcut_conv else None))
+    return ConvBN("stem.conv", "stem.bn", 3, c, k, s, p), tuple(blocks)
 
 
 def rf_geometry(config: BagNetConfig) -> tuple[int, int, int]:
     """(rf, jump, offset): location (i, j) of the top feature map reads the
     pixel window with top-left corner (offset + i*jump, offset + j*jump).
-    Offset is negative when the stem pads. Composition recurrence:
-    rf += (k-1)*jump; jump *= stride."""
+    Offset is negative when the stem pads. Composition recurrence over the
+    main path: rf += (k-1)*jump; jump *= stride."""
+    stem, blocks = layer_table(config)
     rf, jump, offset = 1, 1, 0
-    for k, s, p in config.layer_geometry():
-        offset -= p * jump
-        rf += (k - 1) * jump
-        jump *= s
+    for layer in (stem, *(conv for block in blocks for conv in block[:3])):
+        offset -= layer.pad * jump
+        rf += (layer.kernel - 1) * jump
+        jump *= layer.stride
     return rf, jump, offset
 
 
@@ -219,18 +245,6 @@ class ModelState:
         for p in self.params.values():
             p.zero_grad()
 
-    def _param(self, name: str, value: np.ndarray) -> Parameter:
-        if name in self.params:
-            raise ConfigError(f"duplicate parameter name {name!r}")
-        p = Parameter(name, Tensor(value, requires_grad=True))
-        self.params[name] = p
-        return p
-
-    def _bn(self, name: str, channels: int) -> None:
-        self._param(f"{name}.gamma", np.ones(channels, dtype=np.float32))
-        self._param(f"{name}.beta", np.zeros(channels, dtype=np.float32))
-        self.bn[name] = BatchNormState(channels)
-
 
 def build_model(config: BagNetConfig, seed: int) -> ModelState:
     """Instantiate parameters for `config` deterministically from `seed`.
@@ -243,34 +257,31 @@ def build_model(config: BagNetConfig, seed: int) -> ModelState:
         raise ConfigError(f"declared q={config.q} but computed receptive field is {rf}")
     model = ModelState(config)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB46)))
-    k, _, _, c = config.stem
-    model._param("stem.conv.weight", fanin_normal(rng, (c, 3, k, k), 3 * k * k))
-    model._bn("stem.bn", c)
-    for i, b in enumerate(config.blocks):
-        pre = f"block{i}"
-        model._param(f"{pre}.conv1.weight",
-                     fanin_normal(rng, (b.mid_channels, b.in_channels, 1, 1), b.in_channels))
-        model._bn(f"{pre}.bn1", b.mid_channels)
-        kk = b.kernel
-        model._param(f"{pre}.conv2.weight",
-                     fanin_normal(rng, (b.mid_channels, b.mid_channels, kk, kk),
-                                  b.mid_channels * kk * kk))
-        model._bn(f"{pre}.bn2", b.mid_channels)
-        model._param(f"{pre}.conv3.weight",
-                     fanin_normal(rng, (b.out_channels, b.mid_channels, 1, 1), b.mid_channels))
-        model._bn(f"{pre}.bn3", b.out_channels)
-        if b.needs_shortcut_conv:
-            model._param(f"{pre}.shortcut.weight",
-                         fanin_normal(rng, (b.out_channels, b.in_channels, 1, 1), b.in_channels))
-            model._bn(f"{pre}.bn_sc", b.out_channels)
-    model._param("classifier.weight",
-                 fanin_normal(rng, (config.num_classes, config.feature_dim), config.feature_dim))
-    model._param("classifier.bias", np.zeros(config.num_classes, dtype=np.float32))
+    stem, blocks = layer_table(config)
+    values = {}
+    for layer in (stem, *(conv for block in blocks for conv in block if conv)):
+        k, c = layer.kernel, layer.cout
+        values[f"{layer.conv}.weight"] = fanin_normal(rng, (c, layer.cin, k, k), layer.cin * k * k)
+        values[f"{layer.bn}.gamma"] = np.ones(c, dtype=np.float32)
+        values[f"{layer.bn}.beta"] = np.zeros(c, dtype=np.float32)
+        model.bn[layer.bn] = BatchNormState(c)
+    values["classifier.weight"] = fanin_normal(rng, (config.num_classes, config.feature_dim),
+                                               config.feature_dim)
+    values["classifier.bias"] = np.zeros(config.num_classes, dtype=np.float32)
+    model.params = {name: Parameter(name, Tensor(v)) for name, v in values.items()}
     return model
 
 
 # ---------------------------------------------------------------------------
 # forward passes
+
+def _conv_bn(model: ModelState, layer: ConvBN, x: Tensor) -> Tensor:
+    """Conv then batch norm of one table entry."""
+    p = model.params
+    h = conv2d(x, p[f"{layer.conv}.weight"].value, stride=layer.stride, zero_pad=layer.pad)
+    return batch_norm(h, p[f"{layer.bn}.gamma"].value, p[f"{layer.bn}.beta"].value,
+                      model.bn[layer.bn], model.mode == "train")
+
 
 def forward_features(model: ModelState, x: Tensor, stem_pad: Optional[int] = None) -> Tensor:
     """Feature extractor: [N,3,H,W] -> [N,feature_dim,Hm,Wm].
@@ -278,32 +289,15 @@ def forward_features(model: ModelState, x: Tensor, stem_pad: Optional[int] = Non
     `stem_pad` overrides the configured stem padding (the patch oracle
     passes 0 after padding crops itself).
     """
-    training = model.mode == "train"
-    p = model.params
-    bn = model.bn
-    k, s, pad, _ = model.config.stem
+    stem, blocks = layer_table(model.config)
     if stem_pad is not None:
-        pad = stem_pad
-    h = conv2d(x, p["stem.conv.weight"].value, stride=s, zero_pad=pad)
-    h = relu(batch_norm(h, p["stem.bn.gamma"].value, p["stem.bn.beta"].value,
-                        bn["stem.bn"], training))
-    for i, b in enumerate(model.config.blocks):
-        pre = f"block{i}"
-        main = conv2d(h, p[f"{pre}.conv1.weight"].value)
-        main = relu(batch_norm(main, p[f"{pre}.bn1.gamma"].value, p[f"{pre}.bn1.beta"].value,
-                               bn[f"{pre}.bn1"], training))
-        main = conv2d(main, p[f"{pre}.conv2.weight"].value, stride=b.stride)
-        main = relu(batch_norm(main, p[f"{pre}.bn2.gamma"].value, p[f"{pre}.bn2.beta"].value,
-                               bn[f"{pre}.bn2"], training))
-        main = conv2d(main, p[f"{pre}.conv3.weight"].value)
-        main = batch_norm(main, p[f"{pre}.bn3.gamma"].value, p[f"{pre}.bn3.beta"].value,
-                          bn[f"{pre}.bn3"], training)
-        if b.needs_shortcut_conv:
-            short = conv2d(h, p[f"{pre}.shortcut.weight"].value, stride=b.stride)
-            short = batch_norm(short, p[f"{pre}.bn_sc.gamma"].value,
-                               p[f"{pre}.bn_sc.beta"].value, bn[f"{pre}.bn_sc"], training)
-        else:
-            short = h
+        stem = stem._replace(pad=stem_pad)
+    h = relu(_conv_bn(model, stem, x))
+    for conv1, conv2, conv3, shortcut in blocks:
+        main = relu(_conv_bn(model, conv1, h))
+        main = relu(_conv_bn(model, conv2, main))
+        main = _conv_bn(model, conv3, main)
+        short = h if shortcut is None else _conv_bn(model, shortcut, h)
         # pad-0 3x3 middle convs shrink the main path; align the shortcut
         # to the top-left window anchor
         short = crop2d(short, main.shape[2], main.shape[3])
@@ -319,6 +313,20 @@ def forward_logits(model: ModelState, x: Tensor) -> Tensor:
                   model.params["classifier.bias"].value)
 
 
+@contextlib.contextmanager
+def frozen_params(model: ModelState):
+    """Stop gradient flow into the parameters, so passes keep no backward
+    graph; restores the flags it found, so uses nest."""
+    saved = [(p.value, p.value.requires_grad) for p in model.params.values()]
+    for value, _ in saved:
+        value.requires_grad = False
+    try:
+        yield
+    finally:
+        for value, flag in saved:
+            value.requires_grad = flag
+
+
 # images per network pass of evidence_batch / batch_logits; bounds the
 # activation memory of a pass whatever the size of the batch
 CHUNK = 128
@@ -330,8 +338,9 @@ def _chunked(model: ModelState, images, fn) -> np.ndarray:
         raise ConfigError("evidence and logits require eval mode")
     arr = np.asarray(images, dtype=np.float32)
     # an empty batch still makes one (empty) pass, so the result has its shape
-    return np.concatenate([fn(Tensor(arr[start:start + CHUNK]))
-                           for start in range(0, max(len(arr), 1), CHUNK)])
+    with frozen_params(model):
+        return np.concatenate([fn(Tensor(arr[start:start + CHUNK]))
+                               for start in range(0, max(len(arr), 1), CHUNK)])
 
 
 def evidence_batch(model: ModelState, images) -> np.ndarray:
@@ -411,8 +420,6 @@ def patch_oracle_evidence(model: ModelState, image) -> EvidenceMap:
     """Evidence computed the slow, literal way: crop every q x q window
     (zero-filled where stem padding reaches past the border), run the
     extractor with no padding on each crop independently, classify."""
-    if model.mode != "eval":
-        raise ConfigError("patch_oracle_evidence requires eval mode")
     arr = _single_image(image)
     q = model.config.q
     rf, jump, offset = rf_geometry(model.config)
@@ -426,7 +433,7 @@ def patch_oracle_evidence(model: ModelState, image) -> EvidenceMap:
         for j in range(wm):
             top, left = i * jump, j * jump
             crops[i * wm + j] = padded[:, top:top + q, left:left + q]
-    feats = forward_features(model, Tensor(crops), stem_pad=0).data
+    feats = _chunked(model, crops, lambda x: forward_features(model, x, stem_pad=0).data)
     if feats.shape[2] != 1 or feats.shape[3] != 1:
         raise ConfigError("patch crops did not reduce to a single location")
     w64 = model.params["classifier.weight"].value.data.astype(np.float64)
@@ -439,8 +446,7 @@ def patch_oracle_evidence(model: ModelState, image) -> EvidenceMap:
 def predict(model: ModelState, image) -> tuple[int, np.ndarray]:
     """(argmax class, softmax probabilities); ties go to the lowest index."""
     logits = aggregate_then_classify(model, image)
-    probs = softmax(logits)
-    return int(np.argmax(logits)), probs
+    return int(np.argmax(logits)), softmax(logits)
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +486,6 @@ def certify_receptive_field(model: ModelState, location: tuple[int, int],
     Perturbs random outside pixels of random images; any logit change above
     LEAK_TOL fails the certificate and names the offending pixel offset.
     """
-    if model.mode != "eval":
-        raise ConfigError("certification requires eval mode")
     cfg = model.config
     size = cfg.input_size
     _, jump, offset = rf_geometry(cfg)
@@ -491,9 +495,7 @@ def certify_receptive_field(model: ModelState, location: tuple[int, int],
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xCE27)))
 
     inside = np.zeros((size, size), dtype=bool)
-    r0, r1 = max(top, 0), min(top + q, size)
-    c0, c1 = max(left, 0), min(left + q, size)
-    inside[r0:r1, c0:c1] = True
+    inside[max(top, 0):top + q, max(left, 0):left + q] = True    # slices stop at the border
     outside = np.argwhere(~inside)
     if len(outside) == 0:
         raise ConfigError("no pixels outside the declared window to probe")
@@ -533,10 +535,6 @@ def certify_receptive_field(model: ModelState, location: tuple[int, int],
 def with_declared_q(model: ModelState, q: int) -> ModelState:
     """Same weights under a config that *claims* patch size q (bypasses the
     build-time check; used for negative certification tests)."""
-    fake = ModelState(replace(model.config, q=q, name=model.config.name + f"_claims{q}"))
-    fake.params = model.params
-    fake.bn = model.bn
-    fake.mode = model.mode
-    fake.norm_mean = model.norm_mean
-    fake.norm_std = model.norm_std
+    fake = copy.copy(model)
+    fake.config = replace(model.config, q=q, name=model.config.name + f"_claims{q}")
     return fake

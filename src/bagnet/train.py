@@ -93,14 +93,14 @@ class EvalResult:
 
 def topk_hits(logits: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """label among the k largest logits; ties ranked by lower class index."""
+    if not 1 <= k <= logits.shape[1]:
+        raise ValueError(f"top-k k={k} is outside 1..{logits.shape[1]}, the number of classes")
     order = np.argsort(-logits, axis=1, kind="stable")  # stable: ties -> lower index first
     return (order[:, :k] == labels[:, None]).any(axis=1)
 
 
 def evaluate(model: ModelState, dataset: Dataset, k: int = 1,
              batch_size: int = 256) -> EvalResult:
-    if k > dataset.num_classes:
-        raise ValueError(f"k={k} exceeds {dataset.num_classes} classes")
     # batch_size bounds the normalized copy; batch_logits bounds each network pass
     logits = np.concatenate([
         batch_logits(model, normalize_images(dataset.images[start:start + batch_size],
@@ -268,58 +268,77 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a file written by `save_checkpoint`. A file that departs from
+    that layout raises a CheckpointFormatError naming the file, the field
+    and its offset: a tensor the config does not have, or one missing,
+    misshapen or non-finite, and bytes after the meta JSON included."""
     with open(path, "rb") as fh:
         blob = fh.read()
+
+    def error(what: str, at: int) -> CheckpointFormatError:
+        return CheckpointFormatError(f"{path}: {what} at offset {at}")
+
     if blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(f"{path}: bad checkpoint magic {blob[:4]!r}")
-    version = blob[4]
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
-    off = 5
+        raise error(f"bad checkpoint magic {blob[:4]!r}", 0)
+    off = 4
 
     def take(n: int) -> bytes:
         nonlocal off
         if off + n > len(blob):
-            raise CheckpointFormatError(f"{path}: checkpoint truncated at offset {off}")
+            raise error("checkpoint truncated", off)
         chunk = blob[off:off + n]
         off += n
         return chunk
 
-    def parse_json(n: int, field: str) -> dict:
+    def parse_json(field: str) -> tuple[dict, int]:
+        n = struct.unpack("<I", take(4))[0]
         start = off
         try:
-            return json.loads(take(n).decode("utf-8"))
+            return json.loads(take(n).decode("utf-8")), start
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointFormatError(
-                f"{path}: {field} JSON at offset {start} is corrupt: {exc}") from None
+            raise error(f"{field} JSON is corrupt ({exc})", start) from None
 
-    cfg_len = struct.unpack("<I", take(4))[0]
-    cfg = parse_json(cfg_len, "config")
+    version = take(1)[0]
+    if version != CHECKPOINT_VERSION:
+        raise error(f"unsupported checkpoint version {version}", 4)
+    cfg, start = parse_json("config")
     try:
         config = _config_from_dict(cfg)
         expected = snapshot_tensors(build_model(config, seed=0))
     except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointFormatError(f"{path}: invalid config field: {exc!r}") from None
+        raise error(f"invalid config field {exc!r} in the JSON", start) from None
     n_tensors = struct.unpack("<I", take(4))[0]
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
-        name_len = struct.unpack("<H", take(2))[0]
-        name = take(name_len).decode("utf-8")
+        start = off
+        raw = take(struct.unpack("<H", take(2))[0])
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise error(f"tensor name {raw!r} is not UTF-8", start + 2) from None
+        if name not in expected or name in tensors:
+            raise error(f"tensor {name!r} is unknown to the config or repeated", start)
+        ref = expected[name]
         rank = take(1)[0]
-        dims = [struct.unpack("<I", take(4))[0] for _ in range(rank)]
-        n = int(np.prod(dims)) if dims else 1
-        arr = np.frombuffer(take(4 * n), dtype="<f4").reshape(dims).copy()
-        tensors[name] = arr
-    for name, ref in expected.items():
+        if rank != ref.ndim:
+            raise error(f"tensor {name!r} has rank {rank}, config needs {ref.ndim}", off - 1)
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
+        if dims != ref.shape:
+            raise error(f"tensor {name!r} has shape {dims}, config needs {ref.shape}",
+                        off - 4 * rank)
+        values = np.frombuffer(take(4 * ref.size), dtype="<f4")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise error(f"tensor {name!r} holds a non-finite value", off - 4 * (ref.size - bad[0]))
+        tensors[name] = values.reshape(dims).copy()
+    for name in expected:
         if name not in tensors:
-            raise CheckpointFormatError(f"{path}: tensor {name!r} is missing from the table")
-        if tensors[name].shape != ref.shape:
-            raise CheckpointFormatError(f"{path}: tensor {name!r} has shape "
-                                        f"{tensors[name].shape}, config needs {ref.shape}")
-    meta_len = struct.unpack("<I", take(4))[0]
-    meta = parse_json(meta_len, "meta")
+            raise error(f"tensor {name!r} is missing from the table", off)
+    meta, start = parse_json("meta")
+    if off != len(blob):
+        raise error(f"{len(blob) - off} bytes after the meta JSON", off)
     try:
         return Checkpoint(config, tensors, meta["epoch"], meta["base_seed"],
                           history_from_csv(meta["history_csv"]), meta.get("diverged", False))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointFormatError(f"{path}: invalid meta field: {exc!r}") from None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise error(f"invalid meta field {exc!r} in the JSON", start) from None

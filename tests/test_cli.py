@@ -358,3 +358,52 @@ def test_flag_the_analysis_does_not_read_is_a_usage_error(workdir, tmp_path, ana
         main(_analysis_argv(workdir, tmp_path, analysis) + flag)
     assert exc.value.code == 2
     assert not (tmp_path / analysis).exists()
+
+
+@pytest.mark.parametrize("command,flag,value,named", [
+    ("eval", "--topk", "0", "k=0"),
+    ("eval", "--topk", "-1", "k=-1"),
+    ("threshold", "--topk", "0", "k=0"),
+    ("scatter", "--topk", "-1", "k=-1"),
+    ("patches", "--k", "-2", "k=-2"),
+    ("patches", "--k", "0", "k=0"),
+    ("sensitivity", "--n-max", "-1", "n_max=-1"),
+    ("sensitivity", "--p", "0", "p=0"),
+    ("interaction", "--p", "0", "p=0"),
+    ("interaction", "--p", "-8", "p=-8"),
+])
+def test_numeric_argument_out_of_range_exits_4(workdir, tmp_path, capsys, command, flag,
+                                               value, named):
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(workdir / "run" / "model.bagc"),
+                "--data", str(workdir / "val.bagd"), "--out", str(tmp_path / "eval")]
+    else:
+        argv = _analysis_argv(workdir, tmp_path, command)
+    assert main(argv + [flag, value]) == 4
+    assert named in capsys.readouterr().err
+    assert not [p for p in tmp_path.rglob("*") if p.suffix in (".csv", ".ppm")]
+
+
+@pytest.mark.parametrize("damage", ["name_not_utf8", "rank", "non_finite", "trailing"])
+def test_checkpoint_it_cannot_parse_exits_3_naming_the_offset(workdir, tmp_path, capsys,
+                                                              damage):
+    blob = bytearray((workdir / "run" / "model.bagc").read_bytes())
+    # the first tensor: u16 name length, name, u8 rank, u32 dims, float32 data
+    first = 9 + int.from_bytes(blob[5:9], "little") + 4
+    rank_at = first + 2 + int.from_bytes(blob[first:first + 2], "little")
+    data_at = rank_at + 1 + 4 * blob[rank_at]
+    at = {"name_not_utf8": first + 2, "rank": rank_at, "non_finite": data_at,
+          "trailing": len(blob)}[damage]
+    if damage == "non_finite":
+        blob[at:at + 4] = np.float32(np.nan).tobytes()
+    elif damage == "trailing":
+        blob += b"\0"
+    else:
+        blob[at] = {"name_not_utf8": 0xFF, "rank": 112}[damage]
+    bad = tmp_path / "bad.bagc"
+    bad.write_bytes(bytes(blob))
+    rc = main(["eval", "--checkpoint", str(bad), "--data", str(workdir / "val.bagd"),
+               "--out", str(tmp_path / "e")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"at offset {at}" in err

@@ -7,6 +7,7 @@ import pytest
 from bagnet.data import (
     AugmentSpec,
     BadMagicError,
+    DataFormatError,
     Dataset,
     LabelRangeError,
     TruncatedPayloadError,
@@ -81,6 +82,30 @@ class TestContainer:
         path.write_bytes(bytes(blob))
         with pytest.raises(LabelRangeError):
             load_dataset(path)
+
+    # tiny_dataset's file: header 0-11, names "a" (12-13) and "b" (14-15),
+    # labels 16-17, images 18-113; value None truncates at the offset
+    @pytest.mark.parametrize("at,value,error,named", [
+        (9, None, TruncatedPayloadError, 9),     # header cut short
+        (4, 2, DataFormatError, 4),              # version
+        (9, 0, DataFormatError, 5),              # size 0
+        (13, 0xFF, DataFormatError, 13),         # class name not UTF-8
+        (5, 1, DataFormatError, 65),             # count 2 -> 1: 49 bytes after the last image
+        (9, 1, DataFormatError, 24),             # size 4 -> 1: 90 bytes after the last image
+        (17, 9, LabelRangeError, 17),            # second label
+    ])
+    def test_malformed_file_names_its_offset(self, tmp_path, at, value, error, named):
+        path = tmp_path / "bad.bagd"
+        save_dataset(tiny_dataset(), path)
+        blob = bytearray(path.read_bytes())
+        if value is None:
+            del blob[at:]
+        else:
+            blob[at] = value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(error) as exc:
+            load_dataset(path)
+        assert str(path) in str(exc.value) and f"at offset {named}" in str(exc.value)
 
     def test_cifar10_converter(self, tmp_path):
         rng = np.random.default_rng(1)
