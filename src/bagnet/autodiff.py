@@ -2,9 +2,9 @@
 
 The op set is exactly what a receptive-field-limited convolutional
 classifier needs: conv2d (1x1 / 3x3 kernels), batch norm, relu,
-residual add, spatial crop and mean, a linear layer, softmax
-cross-entropy, plus a few elementwise helpers used by analyses and
-tests.
+residual add, spatial crop and mean, a linear layer and softmax
+cross-entropy, plus `weighted_sum`, the scalar that attribution
+gradients and the finite-difference checks differentiate.
 
 Precision policy. Tensors store float32; float64 leaves are supported
 for verification runs and keep every op in float64 end to end (the
@@ -31,8 +31,8 @@ protects:
 - `linear` and softmax / cross-entropy: criterion 6 (loss gradients)
   and criterion 10 (IG completeness compares summed attributions with
   a logit difference);
-- `weighted_sum` and `sum_all`: criterion 6 (every finite-difference
-  check reduces through `weighted_sum`);
+- `weighted_sum`: criterion 6 (every finite-difference check reduces
+  through it);
 - the evidence einsum in `model.evidence_batch`: criteria 1 and 2.
 
 Per-channel constants (inverse std, eval-mode scale and shift) are
@@ -235,32 +235,6 @@ def residual_add(a: Tensor, b: Tensor) -> Tensor:
 
 
 @_quiet
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise DimensionError(f"mul shape mismatch {a.shape} vs {b.shape}")
-    _common_dtype(a, b)
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g * b.data, fresh=True)
-        if b.requires_grad:
-            _accumulate(b, g * a.data, fresh=True)
-
-    return _result(a.data * b.data, "mul", (a, b), bw)
-
-
-@_quiet
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def bw(g):
-        if x.requires_grad:
-            _accumulate(x, g * c, fresh=True)
-
-    return _result(x.data * np.array(c, dtype=x.data.dtype), "scale", (x,), bw)
-
-
-@_quiet
 def relu(x: Tensor) -> Tensor:
     """max(0, x); the gradient is the 0/1 mask of strictly positive inputs."""
     out = np.maximum(x.data, 0)
@@ -271,16 +245,6 @@ def relu(x: Tensor) -> Tensor:
             _accumulate(x, g * (out > 0), fresh=True)
 
     return _result(out, "relu", (x,), bw)
-
-
-@_quiet
-def sum_all(x: Tensor) -> Tensor:
-    def bw(g):
-        if x.requires_grad:
-            _accumulate(x, np.broadcast_to(g.astype(x.data.dtype), x.data.shape))
-
-    total = np.asarray(x.data.sum(dtype=np.float64), dtype=x.data.dtype)
-    return _result(total, "sum", (x,), bw)
 
 
 @_quiet

@@ -1,5 +1,5 @@
-"""Command-line entry point: dataset tools, training, evaluation,
-analyses and a throughput benchmark.
+"""Command-line entry point: dataset tools, training, evaluation and
+analyses.
 
 Every subcommand writes a manifest (resolved flags, seeds, input
 hashes, tool version) before any other output; identical flags, seeds
@@ -15,13 +15,12 @@ import argparse
 import hashlib
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .autodiff import NumericalError, Tensor
+from .autodiff import NumericalError
 from .data import (
     DataFormatError,
     convert_cifar10,
@@ -34,7 +33,6 @@ from .model import (
     SHIPPED_CONFIGS,
     build_model,
     forward_evidence,
-    forward_features,
     image_logits,
 )
 from .train import (
@@ -50,7 +48,6 @@ from .train import (
 from . import interpret as itp
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_PRECONDITION = 4
 EXIT_DIVERGED = 5
@@ -101,7 +98,7 @@ def _models_and_data(args, subcommand: str, *checkpoints) -> tuple:
 
 def cmd_dataset_synth(args) -> int:
     ds = synth_texture_dataset(args.classes, args.per_class, args.size,
-                               args.texture_scale, args.seed, split=args.split)
+                               args.texture_scale, args.seed)
     out = Path(args.out)
     write_manifest(out.parent, "dataset synth", args, [])
     save_dataset(ds, out)
@@ -110,7 +107,7 @@ def cmd_dataset_synth(args) -> int:
 
 
 def cmd_dataset_convert(args) -> int:
-    ds = convert_cifar10(args.cifar, split=args.split)
+    ds = convert_cifar10(args.cifar)
     out = Path(args.out)
     write_manifest(out.parent, "dataset convert", args, args.cifar)
     save_dataset(ds, out)
@@ -280,27 +277,6 @@ def cmd_analyze_logitcorr(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# benchmark
-
-def cmd_bench(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    model = model_from_checkpoint(ckpt)
-    size = args.size or model.config.input_size
-    rng = np.random.default_rng(0)
-    batch = rng.standard_normal((args.batch, 3, size, size)).astype(np.float32)
-    forward_features(model, Tensor(batch))  # warmup
-    rates = []
-    for _ in range(args.iters):
-        t0 = time.perf_counter()
-        forward_features(model, Tensor(batch))
-        rates.append(args.batch / (time.perf_counter() - t0))
-    rates = np.array(rates)
-    print("throughput: %.2f images/s (std %.2f) at batch %d, %dpx" %
-          (rates.mean(), rates.std(), args.batch, size))
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 # parser
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,11 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=32)
     p.add_argument("--texture-scale", type=int, dest="texture_scale", default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split", default="train")
     p.set_defaults(func=cmd_dataset_synth)
     p = ds.add_parser("convert")
     p.add_argument("--out", required=True)
-    p.add_argument("--split", default="train")
     p.add_argument("cifar", nargs="+")
     p.set_defaults(func=cmd_dataset_convert)
     p = ds.add_parser("inspect")
@@ -403,13 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = an.add_parser("logitcorr")
     common(p, two_models=True)
     p.set_defaults(func=cmd_analyze_logitcorr)
-
-    p = sub.add_parser("bench")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--iters", type=int, default=5)
-    p.add_argument("--size", type=int, default=None)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

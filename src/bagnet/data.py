@@ -153,7 +153,7 @@ def load_dataset(path, split: str = "train") -> Dataset:
     return Dataset(images, labels, names, split=split)
 
 
-def convert_cifar10(batch_paths, split: str = "train") -> Dataset:
+def convert_cifar10(batch_paths) -> Dataset:
     """Ingest CIFAR-10 binary batches (1 label byte + 3072 planar-RGB bytes
     per record)."""
     record = 1 + 3 * 32 * 32
@@ -166,8 +166,7 @@ def convert_cifar10(batch_paths, split: str = "train") -> Dataset:
         arr = np.frombuffer(blob, dtype=np.uint8).reshape(-1, record)
         labels.append(arr[:, 0].copy())
         images.append(arr[:, 1:].reshape(-1, 3, 32, 32).copy())
-    return Dataset(np.concatenate(images), np.concatenate(labels),
-                   list(CIFAR10_NAMES), split=split)
+    return Dataset(np.concatenate(images), np.concatenate(labels), list(CIFAR10_NAMES))
 
 
 # ---------------------------------------------------------------------------

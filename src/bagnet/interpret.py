@@ -30,7 +30,7 @@ from .model import (
     frozen_params,
     rf_geometry,
 )
-from .train import topk_hits
+from .train import check_topk, topk_hits
 
 
 class PreconditionError(ValueError):
@@ -160,13 +160,11 @@ def add_delta(image: np.ndarray, d: PatchDelta) -> np.ndarray:
 
 @dataclass
 class InteractionResult:
-    p: int
     image_indices: list[int]
     lhs: np.ndarray
     rhs: np.ndarray
     r: Optional[float]
     degenerate: bool
-    class_mode: str
 
     def max_relative_gap(self) -> float:
         denom = np.maximum(1.0, np.abs(self.lhs))
@@ -201,10 +199,7 @@ def interaction_pairs(logit_fn: Callable[[np.ndarray], np.ndarray],
 
 def interaction_experiment(model: ModelState, dataset: Dataset, p: int,
                            limit: Optional[int] = None,
-                           class_mode: str = "label",
-                           phase: tuple[int, int] = (0, 0)) -> InteractionResult:
-    if model.mode != "eval":
-        raise PreconditionError("interaction experiment requires eval mode")
+                           class_mode: str = "label") -> InteractionResult:
     n = analysed_count(dataset, limit)
     indices = list(range(n))
     images = norm_images(model, dataset, indices)
@@ -214,10 +209,10 @@ def interaction_experiment(model: ModelState, dataset: Dataset, p: int,
         classes = np.argmax(batch_logits(model, images), axis=1)
     else:
         raise PreconditionError(f"unknown class_mode {class_mode!r}")
-    spec = MaskSpec(p=p, phase=phase)
-    lhs, rhs = interaction_pairs(lambda b: batch_logits(model, b), images, classes, spec)
+    lhs, rhs = interaction_pairs(lambda b: batch_logits(model, b), images, classes,
+                                 MaskSpec(p=p))
     r = pearson(lhs, rhs)
-    return InteractionResult(p, indices, lhs, rhs, r, r is None, class_mode)
+    return InteractionResult(indices, lhs, rhs, r, r is None)
 
 
 def interaction_csv(result: InteractionResult) -> str:
@@ -271,7 +266,6 @@ def integrated_gradients(model: ModelState, image: np.ndarray, cls: int,
 
 @dataclass
 class SensitivityCurve:
-    source: str
     n_masked: list[int]
     mean_prob: np.ndarray            # [len(n_masked)]
     per_image: np.ndarray            # [n_images, len(n_masked)]
@@ -317,8 +311,6 @@ def masking_sensitivity(model: ModelState, sources: Sequence[str], dataset: Data
     over `random_draws` seeded rankings (an estimate of the expected random
     curve rather than one noisy sample).
     """
-    if model.mode != "eval":
-        raise PreconditionError("masking sensitivity requires eval mode")
     n_imgs = analysed_count(dataset, limit)
     size = dataset.size
     gh, gw = grid_cells(size, size, p, (0, 0))
@@ -359,7 +351,7 @@ def masking_sensitivity(model: ModelState, sources: Sequence[str], dataset: Data
             else:
                 raise PreconditionError(f"unknown ranking source {source!r}")
             per_image[source][idx] = trajectory(img, leading, scores)
-    return {s: SensitivityCurve(s, ns, per_image[s].mean(axis=0), per_image[s])
+    return {s: SensitivityCurve(ns, per_image[s].mean(axis=0), per_image[s])
             for s in sources}
 
 
@@ -383,6 +375,7 @@ def threshold_sweep(model: ModelState, dataset: Dataset, thresholds: Sequence[fl
     t -> 0, not below -> 1."""
     if mode not in ("clamp", "binarize"):
         raise PreconditionError(f"unknown threshold mode {mode!r}")
+    check_topk(k, model.config.num_classes)
     n = analysed_count(dataset, limit)
     ev = evidence_batch(model, norm_images(model, dataset, np.arange(n)))   # [n, K, Hm, Wm]
     labels = dataset.labels[:n].astype(np.int64)
@@ -544,10 +537,7 @@ class PatchRecord:
     location: tuple[int, int]
     top_left: tuple[int, int]
     q: int
-    cls: int
     logit: float
-    image_label: int
-    same_label: bool
     pixels: np.ndarray = field(repr=False)   # u8 [3, q, q], zero-filled past borders
 
 
@@ -572,8 +562,6 @@ def top_patches(model: ModelState, dataset: Dataset, cls: int, k: int,
     """The k patches with the highest class-cls evidence among images labeled
     cls, and separately among images with any other label. Ties break on
     (image_index, i, j)."""
-    if model.mode != "eval":
-        raise PreconditionError("top_patches requires eval mode")
     check_class(model, cls)
     if k < 1:
         raise PreconditionError(f"k={k}: top_patches needs k >= 1")
@@ -588,11 +576,9 @@ def top_patches(model: ModelState, dataset: Dataset, cls: int, k: int,
         records = []
         for idx, i, j in np.transpose(np.unravel_index(ranked[:k], ev.shape)).tolist():
             top, left = offset + i * jump, offset + j * jump
-            label = int(labels[idx])
             records.append(PatchRecord(
-                image_index=idx, location=(i, j), top_left=(top, left),
-                q=model.config.q, cls=cls, logit=float(ev[idx, i, j]), image_label=label,
-                same_label=label == cls,
+                image_index=idx, location=(i, j), top_left=(top, left), q=model.config.q,
+                logit=float(ev[idx, i, j]),
                 pixels=_extract_patch(dataset.images[idx], top, left, model.config.q)))
         return records
 

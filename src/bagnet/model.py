@@ -69,6 +69,9 @@ class BlockSpec:
 
 @dataclass(frozen=True)
 class BagNetConfig:
+    """One BagNet architecture. It accepts any square image of at least
+    q x q pixels; `input_size` is the size the shipped configs are meant
+    for and the one `certify_receptive_field` probes."""
     q: int
     stem: tuple[int, int, int, int]  # (kernel, stride, pad, channels)
     blocks: tuple[BlockSpec, ...]
@@ -287,8 +290,14 @@ def forward_features(model: ModelState, x: Tensor, stem_pad: Optional[int] = Non
     """Feature extractor: [N,3,H,W] -> [N,feature_dim,Hm,Wm].
 
     `stem_pad` overrides the configured stem padding (the patch oracle
-    passes 0 after padding crops itself).
+    passes 0 after padding crops itself). Images smaller than q x q are
+    refused here, so every pass (training, evaluation, evidence, the
+    oracle, gradients) shares the one check.
     """
+    q = model.config.q
+    if min(x.shape[2:]) < q:
+        raise ConfigError(f"{x.shape[2]}x{x.shape[3]} images are smaller than "
+                          f"the patch size q={q}")
     stem, blocks = layer_table(model.config)
     if stem_pad is not None:
         stem = stem._replace(pad=stem_pad)
@@ -350,8 +359,6 @@ def evidence_batch(model: ModelState, images) -> np.ndarray:
     b64 = model.params["classifier.bias"].value.data.astype(np.float64)
 
     def classify(x: Tensor) -> np.ndarray:
-        if min(x.shape[2:]) < model.config.q:
-            raise ConfigError("image smaller than the patch size q")
         feats = forward_features(model, x).data.astype(np.float64)
         logits = np.einsum("nfhw,kf->nkhw", feats, w64) + b64[None, :, None, None]
         return logits.astype(np.float32)
@@ -466,10 +473,6 @@ class RfCertificate:
                     f"center response {self.center_response:.2e}")
         return (f"FAILED: leakage {self.max_leakage:.2e} at pixel offset {self.leak_offset} "
                 f"relative to the declared window")
-
-
-def location_logits(model: ModelState, image: np.ndarray, loc: tuple[int, int]) -> np.ndarray:
-    return forward_evidence(model, image).logits[:, loc[0], loc[1]].astype(np.float64)
 
 
 # random outside pixels perturbed per certification trial, and the largest

@@ -85,22 +85,26 @@ class EvalResult:
     topk_accuracy: float
     per_class: np.ndarray            # [num_classes]
     logits: np.ndarray               # [count, num_classes] float32
-    k: int
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
+def check_topk(k: int, num_classes: int) -> None:
+    if not 1 <= k <= num_classes:
+        raise ValueError(f"top-k k={k} is outside 1..{num_classes}, the number of classes")
+
+
 def topk_hits(logits: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """label among the k largest logits; ties ranked by lower class index."""
-    if not 1 <= k <= logits.shape[1]:
-        raise ValueError(f"top-k k={k} is outside 1..{logits.shape[1]}, the number of classes")
+    check_topk(k, logits.shape[1])
     order = np.argsort(-logits, axis=1, kind="stable")  # stable: ties -> lower index first
     return (order[:, :k] == labels[:, None]).any(axis=1)
 
 
 def evaluate(model: ModelState, dataset: Dataset, k: int = 1,
              batch_size: int = 256) -> EvalResult:
+    check_topk(k, model.config.num_classes)   # before the pass, not after it
     # batch_size bounds the normalized copy; batch_logits bounds each network pass
     logits = np.concatenate([
         batch_logits(model, normalize_images(dataset.images[start:start + batch_size],
@@ -112,7 +116,7 @@ def evaluate(model: ModelState, dataset: Dataset, k: int = 1,
     for c in range(dataset.num_classes):
         mask = labels == c
         per_class[c] = hits[mask].mean() if mask.any() else 0.0
-    return EvalResult(float(hits.mean()), per_class, logits, k)
+    return EvalResult(float(hits.mean()), per_class, logits)
 
 
 # ---------------------------------------------------------------------------

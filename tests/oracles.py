@@ -2,9 +2,18 @@
 
 These stay deliberately naive (explicit loops, no im2col, no shared
 code with the package) so they can serve as oracles for the fast paths.
+`sum_all` is the one exception: a test helper over the package's
+`weighted_sum`, not an oracle.
 """
 
 import numpy as np
+
+from bagnet.autodiff import weighted_sum
+
+
+def sum_all(x):
+    """Scalar sum of a Tensor, as a graph node (float64 accumulation)."""
+    return weighted_sum(x, np.ones(x.shape))
 
 
 def reference_conv2d(x, w, stride=1, pad=0):

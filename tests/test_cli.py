@@ -9,9 +9,11 @@ import warnings
 import numpy as np
 import pytest
 
+import bagnet.model as bm
 from bagnet.cli import build_parser, main
 from bagnet.interpret import PreconditionError
-from bagnet.train import load_checkpoint, save_checkpoint
+from bagnet.model import bagnet9_32, build_model
+from bagnet.train import Checkpoint, load_checkpoint, save_checkpoint, snapshot_tensors
 
 SYNTH = ["dataset", "synth", "--classes", "2", "--per-class", "8", "--size", "16",
          "--texture-scale", "8", "--seed", "3"]
@@ -21,8 +23,7 @@ SYNTH = ["dataset", "synth", "--classes", "2", "--per-class", "8", "--size", "16
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     assert main(SYNTH + ["--out", str(root / "train.bagd")]) == 0
-    assert main(SYNTH + ["--seed", "4", "--split", "val",
-                         "--out", str(root / "val.bagd")]) == 0
+    assert main(SYNTH + ["--seed", "4", "--out", str(root / "val.bagd")]) == 0
     rc = main(["train", "--config", "bagnet5_32", "--data", str(root / "train.bagd"),
                "--val", str(root / "val.bagd"), "--out", str(root / "run"),
                "--epochs", "1", "--batch-size", "8", "--seed", "0"])
@@ -157,20 +158,17 @@ def test_scramble_requires_tiling_config(workdir, tmp_path):
     assert rc == 4
 
 
-def test_bench(workdir, capsys):
-    assert main(["bench", "--checkpoint", str(workdir / "run" / "model.bagc"),
-                 "--batch", "2", "--iters", "2", "--size", "16"]) == 0
-    assert "images/s" in capsys.readouterr().out
-
-
-def test_bench_throughput_non_increasing_in_input_size(workdir, capsys):
-    rates = []
-    for size in ("16", "48"):
-        assert main(["bench", "--checkpoint", str(workdir / "run" / "model.bagc"),
-                     "--batch", "4", "--iters", "3", "--size", size]) == 0
-        line = capsys.readouterr().out.strip().split("\n")[-1]
-        rates.append(float(line.split()[1]))
-    assert rates[1] <= rates[0], f"throughput rose with input size: {rates}"
+@pytest.mark.parametrize("argv", [
+    ["bench", "--checkpoint", "model.bagc"],
+    SYNTH + ["--split", "val", "--out", "x.bagd"],
+    ["dataset", "convert", "--split", "val", "--out", "x.bagd", "data_batch_1.bin"],
+])
+def test_removed_command_and_flags_are_usage_errors(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_exit_code_data_error(tmp_path, capsys):
@@ -275,7 +273,7 @@ def test_manifest_written_before_failure(workdir, tmp_path):
 def three_class_val(workdir):
     path = workdir / "val3.bagd"
     assert main(["dataset", "synth", "--classes", "3", "--per-class", "4", "--size", "16",
-                 "--seed", "5", "--split", "val", "--out", str(path)]) == 0
+                 "--seed", "5", "--out", str(path)]) == 0
     return path
 
 
@@ -360,6 +358,11 @@ def test_flag_the_analysis_does_not_read_is_a_usage_error(workdir, tmp_path, ana
     assert not (tmp_path / analysis).exists()
 
 
+def _eval_argv(workdir, tmp_path):
+    return ["eval", "--checkpoint", str(workdir / "run" / "model.bagc"),
+            "--data", str(workdir / "val.bagd"), "--out", str(tmp_path / "eval")]
+
+
 @pytest.mark.parametrize("command,flag,value,named", [
     ("eval", "--topk", "0", "k=0"),
     ("eval", "--topk", "-1", "k=-1"),
@@ -374,11 +377,8 @@ def test_flag_the_analysis_does_not_read_is_a_usage_error(workdir, tmp_path, ana
 ])
 def test_numeric_argument_out_of_range_exits_4(workdir, tmp_path, capsys, command, flag,
                                                value, named):
-    if command == "eval":
-        argv = ["eval", "--checkpoint", str(workdir / "run" / "model.bagc"),
-                "--data", str(workdir / "val.bagd"), "--out", str(tmp_path / "eval")]
-    else:
-        argv = _analysis_argv(workdir, tmp_path, command)
+    argv = (_eval_argv(workdir, tmp_path) if command == "eval"
+            else _analysis_argv(workdir, tmp_path, command))
     assert main(argv + [flag, value]) == 4
     assert named in capsys.readouterr().err
     assert not [p for p in tmp_path.rglob("*") if p.suffix in (".csv", ".ppm")]
@@ -407,3 +407,48 @@ def test_checkpoint_it_cannot_parse_exits_3_naming_the_offset(workdir, tmp_path,
     assert rc == 3
     err = capsys.readouterr().err
     assert str(bad) in err and f"at offset {at}" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "threshold", "scatter"])
+def test_topk_out_of_range_is_refused_before_any_pass(workdir, tmp_path, monkeypatch, capsys,
+                                                      command):
+    passes = []
+    original = bm._chunked
+
+    def counting(model, images, fn):
+        passes.append(len(images))
+        return original(model, images, fn)
+
+    monkeypatch.setattr(bm, "_chunked", counting)
+    argv = (_eval_argv(workdir, tmp_path) if command == "eval"
+            else _analysis_argv(workdir, tmp_path, command))
+    assert main(argv + ["--topk", "0"]) == 4
+    assert "k=0" in capsys.readouterr().err
+    assert passes == []
+    assert main(argv + ["--topk", "1"]) == 0    # the counter does see a valid run's passes
+    assert passes
+
+
+@pytest.fixture(scope="module")
+def small_images(workdir):
+    """8 px images, below bagnet9_32's q=9, and an untrained bagnet9_32
+    checkpoint with the same two classes."""
+    data = workdir / "small8.bagd"
+    assert main(["dataset", "synth", "--classes", "2", "--per-class", "4", "--size", "8",
+                 "--texture-scale", "4", "--out", str(data)]) == 0
+    config = bagnet9_32(num_classes=2)
+    ckpt = workdir / "q9.bagc"
+    save_checkpoint(Checkpoint(config, snapshot_tensors(build_model(config, seed=0)), 0, 0), ckpt)
+    return data, ckpt
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "heatmap"])
+def test_images_smaller_than_q_exit_4(small_images, tmp_path, capsys, command):
+    data, ckpt = small_images
+    argv = {"train": ["train", "--config", "bagnet9_32", "--epochs", "1", "--batch-size", "8"],
+            "eval": ["eval", "--checkpoint", str(ckpt)],
+            "heatmap": ["analyze", "heatmap", "--checkpoint", str(ckpt)]}[command]
+    assert main(argv + ["--data", str(data), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "8x8" in err and "q=9" in err
+    assert not [p for p in tmp_path.rglob("*") if p.suffix in (".bagc", ".csv", ".npy", ".ppm")]
