@@ -39,10 +39,25 @@ Per-channel constants (inverse std, eval-mode scale and shift) are
 formed in float64; the normalized input of train-mode batch norm is
 rounded to float32 once, from its float32 deviation times the float64
 inverse std. In eval mode batch norm is the per-channel affine map
-x * scale + shift.
+x * scale + shift (`BatchNormState.eval_affine`).
+
+Eval-mode fold. A conv followed by eval-mode batch norm is one affine
+map, so `conv2d` takes the float64 per-output-channel `scale` and
+`shift` of `eval_affine`: `scale` multiplies the [Cout, Cin*k*k] GEMM
+matrix (in float64, rounded to the storage dtype once) and `shift` is
+added in place to the GEMM output. The model uses the fold only for
+passes whose conv weight, gamma and beta take no gradient; training and
+eval passes that differentiate the parameters run conv2d -> batch_norm.
 
 An op that produces a non-finite value raises NumericalError instead of
-letting NaN/Inf flow downstream. The ops, the backward pass and the
+letting NaN/Inf flow downstream. Every op that can overflow or make a
+NaN from finite inputs checks its output once: conv2d (after the
+shift), add, batch_norm, spatial_mean, linear, the loss,
+`weighted_sum` and the optimizer step; leaves are checked when built.
+`relu` and `crop2d` do not check: their input is a checked leaf or op
+output, and max(x, 0) or a slice of finite data is finite. A single
+check at the end of a pass would not do instead, since relu maps -inf
+to 0 and a crop drops rows. The ops, the backward pass and the
 optimizer step run with numpy's overflow / invalid warnings silenced,
 so NumericalError is the one report of a non-finite value.
 
@@ -177,7 +192,13 @@ class Tensor:
 
 
 def _result(data: np.ndarray, op: str, parents: Sequence[Tensor], backward=None) -> Tensor:
+    """The checked output node of an op."""
     _check_finite(data, op)
+    return _node(data, op, parents, backward)
+
+
+def _node(data: np.ndarray, op: str, parents: Sequence[Tensor], backward=None) -> Tensor:
+    """The output node of an op whose output is finite whenever its inputs are."""
     out = Tensor.__new__(Tensor)
     out.data = np.ascontiguousarray(data)
     out.grad = None
@@ -244,7 +265,7 @@ def relu(x: Tensor) -> Tensor:
             # out > 0 exactly where x > 0
             _accumulate(x, g * (out > 0), fresh=True)
 
-    return _result(out, "relu", (x,), bw)
+    return _node(out, "relu", (x,), bw)
 
 
 @_quiet
@@ -276,11 +297,16 @@ def crop2d(x: Tensor, h: int, w: int) -> Tensor:
             full[:, :, :h, :w] = g
             _accumulate(x, full, fresh=True)
 
-    return _result(x.data[:, :, :h, :w], "crop2d", (x,), bw)
+    return _node(x.data[:, :, :h, :w], "crop2d", (x,), bw)
 
 
 # ---------------------------------------------------------------------------
 # convolution
+
+def _per_channel(v: np.ndarray, dt) -> np.ndarray:
+    """float64 [C] -> storage-dtype [1,C,1,1], ready to broadcast."""
+    return v.astype(dt)[None, :, None, None]
+
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
     n, c, hin, win = x.shape
@@ -311,8 +337,11 @@ def _col2im(gcols: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.nda
 
 
 @_quiet
-def conv2d(x: Tensor, weight: Tensor, stride: int = 1, zero_pad: int = 0) -> Tensor:
-    """Cross-correlation of [N,Cin,H,W] with [Cout,Cin,k,k], k in {1,3}.
+def conv2d(x: Tensor, weight: Tensor, stride: int = 1, zero_pad: int = 0,
+           scale: Optional[np.ndarray] = None, shift: Optional[np.ndarray] = None) -> Tensor:
+    """Cross-correlation of [N,Cin,H,W] with [Cout,Cin,k,k], k in {1,3},
+    times the constant `scale` plus the constant `shift` per output channel
+    when given (float64 [Cout] each; the eval-mode batch-norm fold).
 
     Output height is floor((H + 2*zero_pad - k) / stride) + 1. The GEMMs
     run in the storage dtype; the weight gradient's sum over the batch
@@ -331,15 +360,23 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, zero_pad: int = 0) -> Ten
         raise DimensionError("stride must be >= 1")
     if min(hin, win) + 2 * zero_pad < k:
         raise DimensionError("spatial extent smaller than kernel")
+    if any(c is not None and np.shape(c) != (cout,) for c in (scale, shift)):
+        raise DimensionError(f"scale and shift need one value per output channel ({cout})")
 
     cols, hout, wout = _im2col(x.data, k, stride, zero_pad)
     wm = weight.data.reshape(cout, cin * k * k)
+    if scale is not None:
+        wm = (wm.astype(np.float64) * scale[:, None]).astype(dt)
     out = np.matmul(wm, cols).reshape(n, cout, hout, wout)
+    if shift is not None:
+        out += _per_channel(shift, dt)
 
     def bw(g):
         gm = g.reshape(n, cout, hout * wout)
         if weight.requires_grad:
             gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0, dtype=np.float64)
+            if scale is not None:
+                gw *= scale[:, None]
             _accumulate(weight, gw.reshape(weight.shape))
         if x.requires_grad:
             gcols = np.matmul(wm.T, gm)
@@ -361,10 +398,12 @@ class BatchNormState:
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
 
-
-def _per_channel(v: np.ndarray, dt) -> np.ndarray:
-    """float64 [C] -> storage-dtype [1,C,1,1], ready to broadcast."""
-    return v.astype(dt)[None, :, None, None]
+    def eval_affine(self, gamma, beta) -> tuple[np.ndarray, np.ndarray]:
+        """float64 per-channel (scale, shift) of eval-mode batch norm, the map
+        x * scale + shift; gamma 1 and beta 0 give the normalization alone."""
+        rinv = 1.0 / np.sqrt(self.running_var.astype(np.float64) + self.eps)
+        scale = np.asarray(gamma, dtype=np.float64) * rinv
+        return scale, np.asarray(beta, dtype=np.float64) - self.running_mean * scale
 
 
 @_quiet
@@ -424,18 +463,17 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                 gx *= _per_channel(g64 * invstd, dt)
                 _accumulate(x, gx, fresh=True)
     else:
-        rmean = state.running_mean.astype(np.float64)
-        rinv = 1.0 / np.sqrt(state.running_var.astype(np.float64) + state.eps)
-        scale = g64 * rinv
+        scale, shift = state.eval_affine(g64, beta.data)
         out = x.data * _per_channel(scale, dt)
-        out += _per_channel(beta.data.astype(np.float64) - rmean * scale, dt)
+        out += _per_channel(shift, dt)
 
         def bw(g):
             if beta.requires_grad:
                 _accumulate(beta, g.sum(axis=axes, dtype=np.float64))
             if gamma.requires_grad:
-                xhat = x.data - _per_channel(rmean, dt)
-                xhat *= _per_channel(rinv, dt)
+                rinv, offset = state.eval_affine(1.0, 0.0)
+                xhat = x.data * _per_channel(rinv, dt)
+                xhat += _per_channel(offset, dt)
                 xhat *= g
                 _accumulate(gamma, xhat.sum(axis=axes, dtype=np.float64))
             if x.requires_grad:

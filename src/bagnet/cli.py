@@ -175,13 +175,10 @@ def cmd_analyze_heatmap(args) -> int:
     if not 0 <= args.image < ds.count:
         raise itp.PreconditionError(
             f"--image {args.image} is out of range: {args.data} has {ds.count} images")
-    img = itp.norm_images(model, ds, [args.image])[0]
-    em = forward_evidence(model, img)
-    if args.cls == "pred":
-        cls = int(np.argmax(image_logits(em)))
-    else:
-        cls = int(args.cls)
-        itp.check_class(model, cls)
+    if args.cls != "pred":
+        itp.check_class(model, int(args.cls))
+    em = forward_evidence(model, itp.norm_images(model, ds, [args.image])[0])
+    cls = int(np.argmax(image_logits(em))) if args.cls == "pred" else int(args.cls)
     itp.export_heatmap(em, cls, out / f"heatmap_img{args.image}_class{cls}.ppm")
     print(f"heatmap for image {args.image}, class {cls} -> {out}")
     return EXIT_OK

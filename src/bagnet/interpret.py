@@ -20,7 +20,6 @@ import numpy as np
 from .autodiff import Tensor, softmax, weighted_sum
 from .data import Dataset, STREAM_ANALYSIS, normalize_images, seed_stream
 from .model import (
-    CHUNK,
     EvidenceMap,
     ModelState,
     batch_logits,
@@ -28,6 +27,7 @@ from .model import (
     forward_evidence,
     forward_logits,
     frozen_params,
+    pass_images,
     rf_geometry,
 )
 from .train import check_topk, topk_hits
@@ -173,16 +173,16 @@ class InteractionResult:
 
 def interaction_pairs(logit_fn: Callable[[np.ndarray], np.ndarray],
                       images: np.ndarray, classes: np.ndarray,
-                      spec: MaskSpec) -> tuple[np.ndarray, np.ndarray]:
+                      spec: MaskSpec, per_pass: int) -> tuple[np.ndarray, np.ndarray]:
     """For each image: lhs = l(x) - l(x + sum_i d_i) with all patches masked
     jointly; rhs = sum_i (l(x) - l(x + d_i)) one patch at a time. `logit_fn`
     maps an image batch to [N, K] logits; it is called on the variants of
-    whole images, at most CHUNK rows at a time unless one image has more,
-    so memory stays bounded whatever the number of images. The tracked
-    class is per image."""
+    whole images, at most `per_pass` rows at a time (the images of one
+    network pass) unless one image has more, so memory stays bounded
+    whatever the number of images. The tracked class is per image."""
     classes = np.asarray(classes, dtype=np.int64)
     rows = 2 + len(selected_cells(spec, *np.shape(images)[2:]))   # x, joint, then singles
-    group = max(1, CHUNK // rows)
+    group = max(1, per_pass // rows)
     tracked = []
     for start in range(0, len(images), group):
         variants = []
@@ -201,6 +201,8 @@ def interaction_experiment(model: ModelState, dataset: Dataset, p: int,
                            limit: Optional[int] = None,
                            class_mode: str = "label") -> InteractionResult:
     n = analysed_count(dataset, limit)
+    spec = MaskSpec(p=p)
+    selected_cells(spec, dataset.size, dataset.size)    # refuse a bad grid before any pass
     indices = list(range(n))
     images = norm_images(model, dataset, indices)
     if class_mode == "label":
@@ -209,8 +211,8 @@ def interaction_experiment(model: ModelState, dataset: Dataset, p: int,
         classes = np.argmax(batch_logits(model, images), axis=1)
     else:
         raise PreconditionError(f"unknown class_mode {class_mode!r}")
-    lhs, rhs = interaction_pairs(lambda b: batch_logits(model, b), images, classes,
-                                 MaskSpec(p=p))
+    lhs, rhs = interaction_pairs(lambda b: batch_logits(model, b), images, classes, spec,
+                                 pass_images(model.config, dataset.size, dataset.size))
     r = pearson(lhs, rhs)
     return InteractionResult(indices, lhs, rhs, r, r is None)
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .autodiff import (
     BatchNormState,
+    NumericalError,
     Parameter,
     Tensor,
     batch_norm,
@@ -279,11 +280,23 @@ def build_model(config: BagNetConfig, seed: int) -> ModelState:
 # forward passes
 
 def _conv_bn(model: ModelState, layer: ConvBN, x: Tensor) -> Tensor:
-    """Conv then batch norm of one table entry."""
-    p = model.params
-    h = conv2d(x, p[f"{layer.conv}.weight"].value, stride=layer.stride, zero_pad=layer.pad)
-    return batch_norm(h, p[f"{layer.bn}.gamma"].value, p[f"{layer.bn}.beta"].value,
-                      model.bn[layer.bn], model.mode == "train")
+    """Conv then batch norm of one table entry. In eval mode, when none of
+    the three parameters takes a gradient, the batch norm is folded into
+    the conv (one op, one finiteness check); a NumericalError names the
+    layer, e.g. "block1.conv2/bn2: ..."."""
+    weight = model.params[f"{layer.conv}.weight"].value
+    gamma = model.params[f"{layer.bn}.gamma"].value
+    beta = model.params[f"{layer.bn}.beta"].value
+    state = model.bn[layer.bn]
+    try:
+        if model.mode == "eval" and not (weight.requires_grad or gamma.requires_grad
+                                         or beta.requires_grad):
+            scale, shift = state.eval_affine(gamma.data, beta.data)
+            return conv2d(x, weight, layer.stride, layer.pad, scale=scale, shift=shift)
+        h = conv2d(x, weight, stride=layer.stride, zero_pad=layer.pad)
+        return batch_norm(h, gamma, beta, state, model.mode == "train")
+    except NumericalError as err:
+        raise NumericalError(f"{layer.conv}/{layer.bn.rpartition('.')[2]}: {err}") from err
 
 
 def forward_features(model: ModelState, x: Tensor, stem_pad: Optional[int] = None) -> Tensor:
@@ -336,20 +349,51 @@ def frozen_params(model: ModelState):
             value.requires_grad = flag
 
 
-# images per network pass of evidence_batch / batch_logits; bounds the
-# activation memory of a pass whatever the size of the batch
-CHUNK = 128
+# bytes that the largest tensor of a network pass may take: passes of
+# evidence_batch / batch_logits hold this many bytes of their largest
+# per-image im2col matrix or activation, so a pass stays in cache and its
+# memory is bounded whatever the size of the batch
+PASS_BYTES = 4 << 20
+
+
+@functools.lru_cache(maxsize=32)
+def pass_images(config: BagNetConfig, h: int, w: int) -> int:
+    """Images per network pass over h x w float32 images: PASS_BYTES over
+    the largest per-image im2col matrix or activation of `layer_table`, and
+    at least 1. The im2col of a 1x1 stride-1 unpadded conv is a view of its
+    input, so it takes no memory of its own."""
+    stem, blocks = layer_table(config)
+    largest = 3 * h * w
+
+    def conv(layer: ConvBN, hw: tuple[int, int]) -> tuple[int, int]:
+        nonlocal largest
+        ho, wo = ((n + 2 * layer.pad - layer.kernel) // layer.stride + 1 for n in hw)
+        view = (layer.kernel, layer.stride, layer.pad) == (1, 1, 0)
+        rows = 0 if view else layer.cin * layer.kernel ** 2
+        largest = max(largest, max(rows, layer.cout) * ho * wo)
+        return ho, wo
+
+    hw = conv(stem, (h, w))
+    for conv1, conv2, conv3, shortcut in blocks:
+        if shortcut is not None:
+            conv(shortcut, hw)
+        hw = conv(conv3, conv(conv2, conv(conv1, hw)))
+    return max(1, PASS_BYTES // (np.dtype(np.float32).itemsize * largest))
 
 
 def _chunked(model: ModelState, images, fn) -> np.ndarray:
-    """Concatenated fn(chunk) over eval-mode network passes of CHUNK images."""
+    """Concatenated fn(chunk) over eval-mode network passes of `pass_images`
+    images."""
     if model.mode != "eval":
         raise ConfigError("evidence and logits require eval mode")
     arr = np.asarray(images, dtype=np.float32)
+    if arr.ndim != 4:
+        raise ConfigError(f"expected an [N,3,H,W] batch, got shape {arr.shape}")
+    step = pass_images(model.config, *arr.shape[2:])
     # an empty batch still makes one (empty) pass, so the result has its shape
     with frozen_params(model):
-        return np.concatenate([fn(Tensor(arr[start:start + CHUNK]))
-                               for start in range(0, max(len(arr), 1), CHUNK)])
+        return np.concatenate([fn(Tensor(arr[start:start + step]))
+                               for start in range(0, max(len(arr), 1), step)])
 
 
 def evidence_batch(model: ModelState, images) -> np.ndarray:

@@ -363,6 +363,27 @@ def test_gradient_conv_weight(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_gradient_conv_with_scale_and_shift(seed):
+    """The eval-mode fold's per-channel constants: gradients of the input and
+    the weight, and the forward equal to conv, times scale, plus shift."""
+    rng = np.random.default_rng(seed + 150)
+    x0 = rng.standard_normal((2, 2, 5, 5))
+    w0 = rng.standard_normal((3, 2, 3, 3))
+    scale, shift = rng.uniform(0.5, 2.0, 3), rng.standard_normal(3)
+    r = rng.standard_normal((2, 3, 3, 3))
+
+    def conv(x, w):
+        return conv2d(x, w, stride=2, zero_pad=1, scale=scale, shift=shift)
+    _fd_check(lambda x: weighted_sum(conv(x, Tensor(w0.astype(x.dtype), dtype=x.dtype)), r),
+              x0, seed)
+    _fd_check(lambda w: weighted_sum(conv(Tensor(x0.astype(w.dtype), dtype=w.dtype), w), r),
+              w0, seed)
+    folded = conv(Tensor(x0, dtype=np.float64), Tensor(w0, dtype=np.float64)).data
+    want = reference_conv2d(x0, w0, stride=2, pad=1) * scale[:, None, None] + shift[:, None, None]
+    np.testing.assert_allclose(folded, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_gradient_relu(seed):
     rng = np.random.default_rng(seed + 200)
     x0 = rng.standard_normal((3, 4))

@@ -452,3 +452,33 @@ def test_images_smaller_than_q_exit_4(small_images, tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "8x8" in err and "q=9" in err
     assert not [p for p in tmp_path.rglob("*") if p.suffix in (".bagc", ".csv", ".npy", ".ppm")]
+
+
+@pytest.fixture
+def chunked_passes(monkeypatch):
+    """Batch size of every `_chunked` call, i.e. of every numpy network pass."""
+    passes = []
+    original = bm._chunked
+
+    def counting(model, images, fn):
+        passes.append(len(images))
+        return original(model, images, fn)
+
+    monkeypatch.setattr(bm, "_chunked", counting)
+    return passes
+
+
+@pytest.mark.parametrize("command,flag,value,named", [
+    ("heatmap", "--class", "7", "class 7"),
+    ("interaction", "--p", "0", "p=0"),     # with --class-mode pred
+    ("interaction", "--p", "5", "5-cell grid"),
+])
+def test_bad_class_or_grid_is_refused_before_any_pass(workdir, tmp_path, capsys,
+                                                      chunked_passes, command, flag, value,
+                                                      named):
+    argv = _analysis_argv(workdir, tmp_path, command)
+    assert main(argv + [flag, value]) == 4
+    assert named in capsys.readouterr().err
+    assert chunked_passes == []
+    assert main(argv) == 0       # the counter does see a valid run's passes
+    assert chunked_passes

@@ -7,7 +7,6 @@ import pytest
 
 from bagnet.data import Dataset, synth_texture_dataset
 from bagnet.model import (
-    CHUNK,
     SHIPPED_CONFIGS,
     BagNetConfig,
     BlockSpec,
@@ -18,6 +17,7 @@ from bagnet.model import (
     certify_receptive_field,
     forward_evidence,
     image_logits,
+    pass_images,
 )
 from bagnet.interpret import (
     MaskSpec,
@@ -142,7 +142,7 @@ class TestInteraction:
         rng = np.random.default_rng(3)
         images = rng.uniform(0.5, 1.5, size=(6, 3, 32, 32)).astype(np.float32)
         spec = MaskSpec(p=8, fill=("const", 0.0))
-        lhs, rhs = interaction_pairs(logit_fn, images, np.zeros(6, dtype=int), spec)
+        lhs, rhs = interaction_pairs(logit_fn, images, np.zeros(6, dtype=int), spec, per_pass=8)
         assert np.abs(lhs - rhs).min() > 0.1
 
     def test_degenerate_variance_reported(self):
@@ -151,7 +151,7 @@ class TestInteraction:
 
         images = np.zeros((4, 3, 16, 16), dtype=np.float32)
         lhs, rhs = interaction_pairs(logit_fn, images, np.zeros(4, dtype=int),
-                                     MaskSpec(p=8))
+                                     MaskSpec(p=8), per_pass=8)
         assert pearson(lhs, rhs) is None
 
     def test_csv_has_summary_row(self, random_model, texture_batch):
@@ -535,17 +535,23 @@ def test_limit_selecting_no_images_is_refused(random_model, texture_batch, run):
         run(random_model, texture_batch)
 
 
+def _chunks(rows: int, per_pass: int) -> list[int]:
+    """Pass sizes of `rows` images split into passes of `per_pass`."""
+    return [min(per_pass, rows - start) for start in range(0, rows, per_pass)]
+
+
 class TestOneBatchedPath:
     """evidence_batch and batch_logits are the one batched path: splitting a
-    batch into network passes of CHUNK images leaves every number unchanged,
-    and an analysis makes one pass per CHUNK images it reads."""
+    batch into network passes of `pass_images` images leaves every number
+    unchanged, and an analysis makes one pass per `pass_images` images it
+    reads."""
 
     @pytest.mark.parametrize("config", sorted(SHIPPED_CONFIGS))
     def test_chunked_batch_equals_single_images_bit_for_bit(self, config):
         model = build_model(SHIPPED_CONFIGS[config](), seed=4)
         size = model.config.input_size
         imgs = np.random.default_rng(6).standard_normal(
-            (CHUNK + 1, 3, size, size)).astype(np.float32)
+            (pass_images(model.config, size, size) + 1, 3, size, size)).astype(np.float32)
         ev = evidence_batch(model, imgs)
         lg = batch_logits(model, imgs)
         for i, img in enumerate(imgs):
@@ -568,26 +574,29 @@ class TestOneBatchedPath:
 
     def test_top_patches_is_one_pass(self, random_model, texture_batch, passes):
         top_patches(random_model, texture_batch, 1, k=3)
-        assert passes == [texture_batch.count]
+        assert passes == _chunks(texture_batch.count, pass_images(random_model.config, 32, 32))
 
     def test_certificate_is_one_pass_per_trial(self, passes):
         model = build_model(bagnet9_32(), seed=2)
         assert certify_receptive_field(model, (3, 3), trials=3, seed=0).passed
-        assert len(passes) == 3
+        # per trial: the image, 24 probes and the centre, plus in trial 0 the
+        # 4q + 4 = 40 pixels of the ring around the interior 9x9 window
+        per_pass = pass_images(model.config, 32, 32)
+        assert passes == _chunks(66, per_pass) + 2 * _chunks(26, per_pass)
 
     def test_interaction_passes_are_chunks_of_all_variants(self, random_model, texture_batch,
                                                           passes):
         n, cells = texture_batch.count, 4          # alternate cells of the 4x4 p=8 grid
         interaction_experiment(random_model, texture_batch, p=8)
-        assert sum(passes) == n * (2 + cells)
-        assert len(passes) == -(-n * (2 + cells) // CHUNK)
+        group = pass_images(random_model.config, 32, 32) // (2 + cells)
+        assert passes == [(2 + cells) * c for c in _chunks(n, group)]
 
     @pytest.mark.parametrize("p,cells", [(8, 4), (4, 16), (1, 256)])
     def test_interaction_logit_fn_gets_bounded_groups_of_whole_images(self, texture_batch,
                                                                       p, cells):
         """interaction_pairs hands logit_fn the variants of whole images, never
-        more than CHUNK rows unless one image alone has more; lhs and rhs are
-        those of one call per image."""
+        more than per_pass rows unless one image alone has more; lhs and rhs
+        are those of one call per image."""
         images = texture_batch.images.astype(np.float32) / 255.0
         classes = texture_batch.labels.astype(np.int64) % 3
         spec = MaskSpec(p=p)
@@ -597,11 +606,12 @@ class TestOneBatchedPath:
             calls.append(len(batch))
             return batch.reshape(len(batch), 3, -1).mean(axis=2)
 
-        lhs, rhs = interaction_pairs(logit_fn, images, classes, spec)
+        per_pass = 37
+        lhs, rhs = interaction_pairs(logit_fn, images, classes, spec, per_pass)
         assert sum(calls) == len(images) * (2 + cells)
-        assert max(calls) <= max(CHUNK, 2 + cells)
+        assert max(calls) <= max(per_pass, 2 + cells)
         assert all(c % (2 + cells) == 0 for c in calls)
-        single = [interaction_pairs(logit_fn, images[i:i + 1], classes[i:i + 1], spec)
+        single = [interaction_pairs(logit_fn, images[i:i + 1], classes[i:i + 1], spec, per_pass)
                   for i in range(len(images))]
         assert np.array_equal(lhs, np.concatenate([l for l, _ in single]))
         assert np.array_equal(rhs, np.concatenate([r for _, r in single]))

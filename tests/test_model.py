@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bagnet.model as bm
-from bagnet.autodiff import Tensor
+from bagnet.autodiff import NumericalError, Tensor, batch_norm, conv2d
 from bagnet.model import (
     SHIPPED_CONFIGS,
     BagNetConfig,
@@ -505,3 +505,86 @@ def test_repeated_pass_reuses_freed_buffers():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     bm.evidence_batch(model, images)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+
+
+# ---------------------------------------------------------------------------
+# eval passes fold batch norm into the conv
+
+def _with_running_stats(model, seed):
+    """Non-trivial running statistics, gamma and beta in every batch norm."""
+    r = np.random.default_rng(seed)
+    for name, st in model.bn.items():
+        c = st.running_mean.shape
+        st.running_mean = r.normal(0, 0.3, c).astype(np.float32)
+        st.running_var = r.uniform(0.5, 2.0, c).astype(np.float32)
+        model.params[f"{name}.gamma"].value.data = r.uniform(0.5, 1.5, c).astype(np.float32)
+        model.params[f"{name}.beta"].value.data = r.normal(0, 0.2, c).astype(np.float32)
+    return model
+
+
+def _conv_then_batch_norm(model, layer, x):
+    """The unfolded composition: conv2d, then eval-mode batch_norm."""
+    p = model.params
+    h = conv2d(x, p[f"{layer.conv}.weight"].value, stride=layer.stride, zero_pad=layer.pad)
+    return batch_norm(h, p[f"{layer.bn}.gamma"].value, p[f"{layer.bn}.beta"].value,
+                      model.bn[layer.bn], training=False)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+def test_eval_fold_matches_conv_then_batch_norm(monkeypatch, name):
+    """Frozen eval evidence and saliency gradients with the fold are within
+    1e-4 (relative to max(1, |value|)) of conv2d -> batch_norm layer by layer."""
+    from bagnet.interpret import saliency
+
+    model = _with_running_stats(build_model(SHIPPED_CONFIGS[name](), seed=5), seed=6)
+    size = model.config.input_size
+    images = np.random.default_rng(7).standard_normal((4, 3, size, size)).astype(np.float32)
+    folded = bm.evidence_batch(model, images), saliency(model, images[0], 1)
+    monkeypatch.setattr(bm, "_conv_bn", _conv_then_batch_norm)
+    unfolded = bm.evidence_batch(model, images), saliency(model, images[0], 1)
+    for got, want in zip(folded, unfolded):
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-4
+
+
+def test_frozen_pass_checks_once_per_conv_and_residual_add(monkeypatch):
+    """A frozen bagnet9_32 pass checks finiteness at most once per conv (the
+    folded batch norm included), once per residual add, and once for the
+    leaf; relu and crop2d outputs are not checked."""
+    import bagnet.autodiff as ad
+
+    model = build_model(bagnet9_32(), seed=0)
+    _, blocks = bm.layer_table(model.config)
+    convs = 1 + sum(layer is not None for block in blocks for layer in block)
+    images = np.random.default_rng(0).standard_normal((2, 3, 32, 32)).astype(np.float32)
+    checked = []
+    original = ad._check_finite
+
+    def counting(arr, op):
+        checked.append(op)
+        original(arr, op)
+
+    monkeypatch.setattr(ad, "_check_finite", counting)
+    bm.evidence_batch(model, images)
+    assert checked.count("conv2d") <= convs
+    assert checked.count("add") <= len(blocks)
+    assert checked.count("leaf") <= 1
+    assert len(checked) <= convs + len(blocks) + 1
+
+
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_numerical_error_names_the_layer(mode):
+    """A batch norm whose gamma overflows float32 fails in its own layer: in
+    the folded conv of an eval pass, in batch_norm of a train step."""
+    from bagnet.autodiff import softmax_cross_entropy
+
+    model = build_model(bagnet9_32(), seed=0)
+    model.params["block1.bn2.gamma"].value.data[:] = 1e38
+    images = np.random.default_rng(1).standard_normal((8, 3, 32, 32)).astype(np.float32)
+    op = {"eval": "conv2d", "train": "batch_norm"}[mode]
+    with pytest.raises(NumericalError,
+                       match=rf"^block1\.conv2/bn2: non-finite values produced by op '{op}'"):
+        if mode == "eval":
+            bm.evidence_batch(model, images)
+        else:
+            model.train_mode()
+            softmax_cross_entropy(bm.forward_logits(model, Tensor(images)), np.zeros(8, int))
