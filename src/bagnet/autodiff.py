@@ -57,13 +57,19 @@ shift), add, batch_norm, spatial_mean, linear, the loss,
 `relu` and `crop2d` do not check: their input is a checked leaf or op
 output, and max(x, 0) or a slice of finite data is finite. A single
 check at the end of a pass would not do instead, since relu maps -inf
-to 0 and a crop drops rows. The ops, the backward pass and the
+to 0 and a crop drops rows. The checked ops, the backward pass and the
 optimizer step run with numpy's overflow / invalid warnings silenced,
-so NumericalError is the one report of a non-finite value.
+so NumericalError is the one report of a non-finite value; `relu` and
+`crop2d` raise no floating-point warning on NaN or +-inf, so they run
+without that wrapper.
 
-Convolution runs as im2col + matrix multiply. The naive six-loop
-reference convolution it is validated against lives with the tests,
-not here.
+Convolution runs as im2col + matrix multiply. An unpadded 1x1 conv is
+a GEMM on its input: the patch matrix is a view of it at stride 1 and
+one copy of its strided pixels at stride s > 1. A 3x3 conv copies one
+read-only strided window view into the patch matrix (after zero-padding
+when asked). The naive six-loop reference convolution and the
+loop-gather im2col they are validated against live with the tests, not
+here.
 """
 
 from __future__ import annotations
@@ -74,7 +80,7 @@ import math
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 class DimensionError(ValueError):
@@ -122,7 +128,7 @@ _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericalError(f"non-finite values produced by op '{op}'")
 
 
@@ -255,7 +261,6 @@ def residual_add(a: Tensor, b: Tensor) -> Tensor:
     return add(a, b)
 
 
-@_quiet
 def relu(x: Tensor) -> Tensor:
     """max(0, x); the gradient is the 0/1 mask of strictly positive inputs."""
     out = np.maximum(x.data, 0)
@@ -283,7 +288,6 @@ def weighted_sum(x: Tensor, w: np.ndarray) -> Tensor:
     return _result(total, "weighted_sum", (x,), bw)
 
 
-@_quiet
 def crop2d(x: Tensor, h: int, w: int) -> Tensor:
     """Keep the top-left h x w spatial window of an [N,C,H,W] tensor."""
     if x.data.ndim != 4 or h > x.shape[2] or w > x.shape[3]:
@@ -309,15 +313,24 @@ def _per_channel(v: np.ndarray, dt) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
+    """[N, C, H, W] -> ([N, C*k*k, Ho*Wo] patch matrix, Ho, Wo), row (c*k+u)*k+v
+    holding x_pad[:, c, i*stride+u, j*stride+v] at column i*Wo+j."""
     n, c, hin, win = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     hout = (hin + 2 * pad - k) // stride + 1
     wout = (win + 2 * pad - k) // stride + 1
-    windows = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    # [N, C, Ho, Wo, k, k] -> [N, C*k*k, Ho*Wo]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, hout * wout)
-    return np.ascontiguousarray(cols), hout, wout
+    if k == 1 and pad == 0:
+        # a 1x1 conv is a GEMM on its (strided) input: a view at stride 1
+        if stride > 1:
+            x = np.ascontiguousarray(x[:, :, ::stride, ::stride])
+        return x.reshape(n, c, hout * wout), hout, wout
+    if pad:
+        padded = np.zeros((n, c, hin + 2 * pad, win + 2 * pad), dtype=x.dtype)
+        padded[:, :, pad:pad + hin, pad:pad + win] = x
+        x = padded
+    sn, sc, sh, sw = x.strides
+    windows = as_strided(x, (n, c, k, k, hout, wout),
+                         (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False)
+    return np.ascontiguousarray(windows).reshape(n, c * k * k, hout * wout), hout, wout
 
 
 def _col2im(gcols: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.ndarray:

@@ -176,9 +176,9 @@ def cmd_analyze_heatmap(args) -> int:
         raise itp.PreconditionError(
             f"--image {args.image} is out of range: {args.data} has {ds.count} images")
     if args.cls != "pred":
-        itp.check_class(model, int(args.cls))
+        itp.check_class(model, args.cls)
     em = forward_evidence(model, itp.norm_images(model, ds, [args.image])[0])
-    cls = int(np.argmax(image_logits(em))) if args.cls == "pred" else int(args.cls)
+    cls = int(np.argmax(image_logits(em))) if args.cls == "pred" else args.cls
     itp.export_heatmap(em, cls, out / f"heatmap_img{args.image}_class{cls}.ppm")
     print(f"heatmap for image {args.image}, class {cls} -> {out}")
     return EXIT_OK
@@ -276,6 +276,17 @@ def cmd_analyze_logitcorr(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _class_or_pred(text: str):
+    """A class index, or "pred" for the predicted class (`heatmap --class`)."""
+    if text == "pred":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a class index or 'pred', got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bagnet")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -339,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = an.add_parser("heatmap")
     common(p)
     p.add_argument("--image", type=int, default=0)
-    p.add_argument("--class", dest="cls", default="pred")
+    p.add_argument("--class", dest="cls", type=_class_or_pred, default="pred")
     p.set_defaults(func=cmd_analyze_heatmap)
     p = an.add_parser("patches")
     common(p, limit=True)

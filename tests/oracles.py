@@ -39,6 +39,26 @@ def reference_conv2d(x, w, stride=1, pad=0):
     return out
 
 
+def reference_im2col(x, k, stride=1, pad=0):
+    """Patch matrix by explicit gather: cols[b, (ci*k+u)*k+v, i*wo+j] =
+    x_pad[b, ci, i*stride+u, j*stride+v], in the dtype of x."""
+    n, cin, h, win = x.shape
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho = (h + 2 * pad - k) // stride + 1
+    wo = (win + 2 * pad - k) // stride + 1
+    cols = np.zeros((n, cin * k * k, ho * wo), dtype=x.dtype)
+    for b in range(n):
+        for ci in range(cin):
+            for u in range(k):
+                for v in range(k):
+                    for i in range(ho):
+                        for j in range(wo):
+                            cols[b, (ci * k + u) * k + v, i * wo + j] = \
+                                x[b, ci, i * stride + u, j * stride + v]
+    return cols
+
+
 def numerical_gradient(f, x, h=1e-3):
     """Central finite differences of a scalar function, elementwise."""
     x = np.asarray(x)

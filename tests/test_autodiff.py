@@ -3,6 +3,7 @@ correctness against finite differences, and the structural invariants
 (finiteness, determinism, crop commutation)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from bagnet.autodiff import (
     NumericalError,
     Parameter,
     Tensor,
+    _im2col,
     add,
     batch_norm,
     conv2d,
+    crop2d,
     linear,
     relu,
     residual_add,
@@ -27,7 +30,13 @@ from bagnet.autodiff import (
     weighted_sum,
 )
 
-from oracles import numerical_gradient, numerical_gradient_relstep, reference_conv2d, sum_all
+from oracles import (
+    numerical_gradient,
+    numerical_gradient_relstep,
+    reference_conv2d,
+    reference_im2col,
+    sum_all,
+)
 
 SEEDS = list(range(10))
 
@@ -90,6 +99,24 @@ class TestConv2d:
         w = Tensor(np.zeros((1, 1, 3, 3)))
         assert conv2d(x, w, stride=2, zero_pad=1).shape == (1, 1, 5, 5)
         assert conv2d(x, w, stride=3, zero_pad=0).shape == (1, 1, 3, 3)
+
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_im2col_matches_loop_gather(self, k, stride, pad):
+        rng = np.random.default_rng(100 * k + 10 * stride + pad)
+        for shape in [(1, 3, 7, 7), (4, 3, 7, 7), (1, 2, 9, 6), (4, 2, 9, 6)]:
+            x = rng.standard_normal(shape).astype(np.float32)
+            cols, hout, wout = _im2col(x, k, stride, pad)
+            ref = reference_im2col(x, k, stride, pad)
+            assert cols.shape == ref.shape == (shape[0], shape[1] * k * k, hout * wout)
+            assert cols.dtype == x.dtype
+            np.testing.assert_array_equal(cols, ref)
+
+    def test_1x1_stride_1_im2col_is_a_view_of_its_input(self):
+        x = np.random.default_rng(5).standard_normal((2, 4, 5, 6)).astype(np.float32)
+        cols, _, _ = _im2col(x, 1, 1, 0)
+        assert np.shares_memory(cols, x)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +193,17 @@ class TestElementwise:
     def test_non_finite_leaf_raises(self):
         with pytest.raises(NumericalError):
             Tensor(np.array([1.0, np.nan]))
+
+    def test_relu_and_crop_pass_non_finite_values_without_warnings(self):
+        # neither op checks its output or silences numpy; neither may warn
+        x = Tensor(np.zeros((1, 1, 2, 3)))
+        x.data = np.array([[[[np.nan, np.inf, -np.inf], [-1.0, 2.0, np.nan]]]], dtype=np.float32)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            out = relu(x).data
+            cropped = crop2d(x, 1, 2).data
+        np.testing.assert_array_equal(out, [[[[np.nan, np.inf, 0.0], [0.0, 2.0, np.nan]]]])
+        np.testing.assert_array_equal(cropped, x.data[:, :, :1, :2])
 
 
 # ---------------------------------------------------------------------------

@@ -482,3 +482,12 @@ def test_bad_class_or_grid_is_refused_before_any_pass(workdir, tmp_path, capsys,
     assert chunked_passes == []
     assert main(argv) == 0       # the counter does see a valid run's passes
     assert chunked_passes
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_heatmap_class_is_typed_at_parse_time(workdir, tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(_analysis_argv(workdir, tmp_path, "heatmap") + ["--class", value])
+    assert exc.value.code == 2
+    assert "--class" in capsys.readouterr().err
+    assert not (tmp_path / "heatmap" / "manifest.json").exists()
