@@ -45,9 +45,16 @@ Eval-mode fold. A conv followed by eval-mode batch norm is one affine
 map, so `conv2d` takes the float64 per-output-channel `scale` and
 `shift` of `eval_affine`: `scale` multiplies the [Cout, Cin*k*k] GEMM
 matrix (in float64, rounded to the storage dtype once) and `shift` is
-added in place to the GEMM output. The model uses the fold only for
-passes whose conv weight, gamma and beta take no gradient; training and
-eval passes that differentiate the parameters run conv2d -> batch_norm.
+added in place to the GEMM output. `fold_affine` is the one builder of
+that matrix and shift; a caller that runs the same conv again hands its
+result to `conv2d(fold=)`. The model uses the fold only for passes whose
+conv weight, gamma and beta take no gradient; training and eval passes
+that differentiate the parameters run conv2d -> batch_norm. It builds
+each conv's fold once per version of its five source arrays (weight,
+gamma, beta, running mean and variance), tells versions apart by array
+identity, and marks those arrays read-only: every writer here replaces
+a parameter's `.data` or a running statistic, and an in-place write
+after an eval pass raises ValueError instead of leaving a stale fold.
 
 An op that produces a non-finite value raises NumericalError instead of
 letting NaN/Inf flow downstream. Every op that can overflow or make a
@@ -77,7 +84,7 @@ from __future__ import annotations
 import ctypes
 import itertools
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -349,12 +356,40 @@ def _col2im(gcols: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.nda
     return buf
 
 
+class Fold(NamedTuple):
+    """A per-output-channel affine map folded into a conv: the [Cout, Cin*k*k]
+    GEMM matrix with its rows times `scale`, and the shift ready to add to
+    the [N, Cout, Ho, Wo] output (storage dtype, None for no shift)."""
+    matrix: np.ndarray
+    shift: Optional[np.ndarray]
+    scale: Optional[np.ndarray]      # float64 [Cout] (None for 1); the weight gradient's
+
+
+@_quiet
+def fold_affine(weight: np.ndarray, scale: Optional[np.ndarray] = None,
+                shift: Optional[np.ndarray] = None) -> Fold:
+    """The one builder of folded conv constants: the [Cout, Cin, k, k]
+    weight as a GEMM matrix times float64 `scale` per row, rounded to the
+    storage dtype once, and `shift` in the storage dtype."""
+    cout = weight.shape[0]
+    if any(c is not None and np.shape(c) != (cout,) for c in (scale, shift)):
+        raise DimensionError(f"scale and shift need one value per output channel ({cout})")
+    dt = weight.dtype
+    wm = weight.reshape(cout, -1)
+    if scale is not None:
+        wm = (wm.astype(np.float64) * scale[:, None]).astype(dt)
+    return Fold(wm, None if shift is None else _per_channel(shift, dt), scale)
+
+
 @_quiet
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, zero_pad: int = 0,
-           scale: Optional[np.ndarray] = None, shift: Optional[np.ndarray] = None) -> Tensor:
+           scale: Optional[np.ndarray] = None, shift: Optional[np.ndarray] = None,
+           *, fold: Optional[Fold] = None) -> Tensor:
     """Cross-correlation of [N,Cin,H,W] with [Cout,Cin,k,k], k in {1,3},
     times the constant `scale` plus the constant `shift` per output channel
     when given (float64 [Cout] each; the eval-mode batch-norm fold).
+    `fold` hands in `fold_affine(weight.data, scale, shift)` built once by
+    the caller, in place of `scale` and `shift`.
 
     Output height is floor((H + 2*zero_pad - k) / stride) + 1. The GEMMs
     run in the storage dtype; the weight gradient's sum over the batch
@@ -362,7 +397,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, zero_pad: int = 0,
     """
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise DimensionError("conv2d expects 4-d input and weight")
-    dt = _common_dtype(x, weight)
+    _common_dtype(x, weight)
     n, cin, hin, win = x.shape
     cout, cin_w, k, k2 = weight.shape
     if k != k2 or k not in (1, 3):
@@ -373,23 +408,24 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, zero_pad: int = 0,
         raise DimensionError("stride must be >= 1")
     if min(hin, win) + 2 * zero_pad < k:
         raise DimensionError("spatial extent smaller than kernel")
-    if any(c is not None and np.shape(c) != (cout,) for c in (scale, shift)):
-        raise DimensionError(f"scale and shift need one value per output channel ({cout})")
+    if fold is None:
+        fold = (Fold(weight.data.reshape(cout, cin * k * k), None, None)
+                if scale is None and shift is None else fold_affine(weight.data, scale, shift))
+    elif scale is not None or shift is not None:
+        raise DimensionError("conv2d takes a fold or scale and shift, not both")
 
     cols, hout, wout = _im2col(x.data, k, stride, zero_pad)
-    wm = weight.data.reshape(cout, cin * k * k)
-    if scale is not None:
-        wm = (wm.astype(np.float64) * scale[:, None]).astype(dt)
+    wm = fold.matrix
     out = np.matmul(wm, cols).reshape(n, cout, hout, wout)
-    if shift is not None:
-        out += _per_channel(shift, dt)
+    if fold.shift is not None:
+        out += fold.shift
 
     def bw(g):
         gm = g.reshape(n, cout, hout * wout)
         if weight.requires_grad:
             gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0, dtype=np.float64)
-            if scale is not None:
-                gw *= scale[:, None]
+            if fold.scale is not None:
+                gw *= fold.scale[:, None]
             _accumulate(weight, gw.reshape(weight.shape))
         if x.requires_grad:
             gcols = np.matmul(wm.T, gm)

@@ -150,7 +150,8 @@ def cmd_train(args) -> int:
     (out / "metrics.csv").write_text(history_to_csv(ckpt.history))
     save_checkpoint(ckpt, out / "model.bagc")
     if ckpt.diverged:
-        print("training diverged; kept the last good checkpoint", file=sys.stderr)
+        print(f"training diverged: {ckpt.divergence}; kept the last good checkpoint",
+              file=sys.stderr)
         return EXIT_DIVERGED
     return EXIT_OK
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import functools
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from .autodiff import (
     BatchNormState,
+    Fold,
     NumericalError,
     Parameter,
     Tensor,
@@ -33,6 +35,7 @@ from .autodiff import (
     conv2d,
     crop2d,
     fanin_normal,
+    fold_affine,
     linear,
     relu,
     residual_add,
@@ -233,6 +236,8 @@ class ModelState:
         self.mode = "eval"
         self.norm_mean = np.zeros(3, dtype=np.float32)
         self.norm_std = np.ones(3, dtype=np.float32)
+        # conv name -> (the five arrays its eval fold was built from, Fold)
+        self.folds: dict[str, tuple[tuple[np.ndarray, ...], Fold]] = {}
 
     def train_mode(self):
         self.mode = "train"
@@ -250,34 +255,65 @@ class ModelState:
             p.zero_grad()
 
 
-def build_model(config: BagNetConfig, seed: int) -> ModelState:
-    """Instantiate parameters for `config` deterministically from `seed`.
-
-    Fails fast if the config's computed receptive field differs from its
-    declared q.
-    """
+def model_shapes(config: BagNetConfig) -> tuple[dict[str, tuple[int, ...]], dict[str, int]]:
+    """(parameter name -> shape, batch-norm name -> channels) of a model of
+    `config`, in build order. Fails fast if the config's computed receptive
+    field differs from its declared q."""
     rf, _ = receptive_field(config)
     if rf != config.q:
         raise ConfigError(f"declared q={config.q} but computed receptive field is {rf}")
-    model = ModelState(config)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB46)))
     stem, blocks = layer_table(config)
-    values = {}
+    params: dict[str, tuple[int, ...]] = {}
+    channels: dict[str, int] = {}
     for layer in (stem, *(conv for block in blocks for conv in block if conv)):
         k, c = layer.kernel, layer.cout
-        values[f"{layer.conv}.weight"] = fanin_normal(rng, (c, layer.cin, k, k), layer.cin * k * k)
-        values[f"{layer.bn}.gamma"] = np.ones(c, dtype=np.float32)
-        values[f"{layer.bn}.beta"] = np.zeros(c, dtype=np.float32)
-        model.bn[layer.bn] = BatchNormState(c)
-    values["classifier.weight"] = fanin_normal(rng, (config.num_classes, config.feature_dim),
-                                               config.feature_dim)
-    values["classifier.bias"] = np.zeros(config.num_classes, dtype=np.float32)
-    model.params = {name: Parameter(name, Tensor(v)) for name, v in values.items()}
+        params[f"{layer.conv}.weight"] = (c, layer.cin, k, k)
+        params[f"{layer.bn}.gamma"] = params[f"{layer.bn}.beta"] = (c,)
+        channels[layer.bn] = c
+    params["classifier.weight"] = (config.num_classes, config.feature_dim)
+    params["classifier.bias"] = (config.num_classes,)
+    return params, channels
+
+
+def build_model(config: BagNetConfig, seed: int) -> ModelState:
+    """Instantiate parameters for `config` deterministically from `seed`:
+    fan-in normal weights, gamma 1, beta and bias 0. Fails fast, as
+    `model_shapes` does, if the computed receptive field is not q."""
+    shapes, channels = model_shapes(config)
+    model = ModelState(config)
+    model.bn = {name: BatchNormState(c) for name, c in channels.items()}
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB46)))
+
+    def init(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if name.endswith(".weight"):
+            return fanin_normal(rng, shape, math.prod(shape[1:]))
+        return (np.ones if name.endswith(".gamma") else np.zeros)(shape, dtype=np.float32)
+
+    model.params = {name: Parameter(name, Tensor(init(name, shape)))
+                    for name, shape in shapes.items()}
     return model
 
 
 # ---------------------------------------------------------------------------
 # forward passes
+
+def _eval_fold(model: ModelState, layer: ConvBN, weight: Tensor, gamma: Tensor,
+               beta: Tensor, state: BatchNormState) -> Fold:
+    """The layer's eval-mode fold, built once per version of its five source
+    arrays. Every writer replaces these arrays rather than writing into
+    them, so identity tells versions apart; they are made read-only when a
+    fold is built from them, so an in-place write raises ValueError instead
+    of leaving the fold stale."""
+    sources = (weight.data, gamma.data, beta.data, state.running_mean, state.running_var)
+    cached = model.folds.get(layer.conv)
+    if cached is not None and all(a is b for a, b in zip(cached[0], sources)):
+        return cached[1]
+    for arr in sources:
+        arr.flags.writeable = False
+    fold = fold_affine(weight.data, *state.eval_affine(gamma.data, beta.data))
+    model.folds[layer.conv] = (sources, fold)
+    return fold
+
 
 def _conv_bn(model: ModelState, layer: ConvBN, x: Tensor) -> Tensor:
     """Conv then batch norm of one table entry. In eval mode, when none of
@@ -291,8 +327,8 @@ def _conv_bn(model: ModelState, layer: ConvBN, x: Tensor) -> Tensor:
     try:
         if model.mode == "eval" and not (weight.requires_grad or gamma.requires_grad
                                          or beta.requires_grad):
-            scale, shift = state.eval_affine(gamma.data, beta.data)
-            return conv2d(x, weight, layer.stride, layer.pad, scale=scale, shift=shift)
+            fold = _eval_fold(model, layer, weight, gamma, beta, state)
+            return conv2d(x, weight, layer.stride, layer.pad, fold=fold)
         h = conv2d(x, weight, stride=layer.stride, zero_pad=layer.pad)
         return batch_norm(h, gamma, beta, state, model.mode == "train")
     except NumericalError as err:
@@ -581,7 +617,8 @@ def certify_receptive_field(model: ModelState, location: tuple[int, int],
 
 def with_declared_q(model: ModelState, q: int) -> ModelState:
     """Same weights under a config that *claims* patch size q (bypasses the
-    build-time check; used for negative certification tests)."""
+    build-time check; used for negative certification tests). The shallow
+    copy shares the parameters, and so the eval folds built from them."""
     fake = copy.copy(model)
     fake.config = replace(model.config, q=q, name=model.config.name + f"_claims{q}")
     return fake

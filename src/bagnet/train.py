@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -33,6 +34,7 @@ from .model import (
     batch_logits,
     build_model,
     forward_logits,
+    model_shapes,
 )
 
 CHECKPOINT_MAGIC = b"BAGC"
@@ -78,6 +80,9 @@ class Checkpoint:
     base_seed: int
     history: list[dict] = field(default_factory=list)
     diverged: bool = False
+    # what diverged, e.g. "block1.conv2/bn2: non-finite values produced by
+    # op 'batch_norm' at epoch 0 step 3"; reported, not written to the file
+    divergence: str = ""
 
 
 @dataclass
@@ -129,7 +134,7 @@ def train(model: ModelState, train_set: Dataset, val_set: Dataset,
 
     Emits one metrics dict per epoch through `sink`; on divergence (any
     non-finite value) aborts and returns the last completed epoch's
-    state with `diverged` set.
+    state with `diverged` set and `divergence` naming the failure.
     """
     if train_set.num_classes != model.config.num_classes:
         raise ConfigError("model and dataset class counts differ")
@@ -152,9 +157,9 @@ def train(model: ModelState, train_set: Dataset, val_set: Dataset,
                 sgd_momentum_step(model.parameters(), lr, config.momentum)
                 running_loss += loss.item()
                 batches += 1
-        except NumericalError:
+        except NumericalError as err:
             ckpt = Checkpoint(model.config, last_good, epoch, config.seed, history,
-                              diverged=True)
+                              diverged=True, divergence=f"{err} at epoch {epoch} step {batches}")
             restore_tensors(model, last_good)
             model.eval_mode()
             return ckpt
@@ -183,6 +188,19 @@ def snapshot_tensors(model: ModelState) -> dict[str, np.ndarray]:
         out[f"bnstat.{name}.var"] = st.running_var.copy()
     out["input_norm.mean"] = model.norm_mean.copy()
     out["input_norm.std"] = model.norm_std.copy()
+    return out
+
+
+def tensor_shapes(config: BagNetConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor `snapshot_tensors` writes for a model of
+    `config`, in the same order, without building the model."""
+    params, channels = model_shapes(config)
+    out: dict[str, tuple[int, ...]] = {}
+    for name, shape in params.items():
+        out[f"param.{name}"] = out[f"momentum.{name}"] = shape
+    for name, c in channels.items():
+        out[f"bnstat.{name}.mean"] = out[f"bnstat.{name}.var"] = (c,)
+    out["input_norm.mean"] = out["input_norm.std"] = (3,)
     return out
 
 
@@ -308,7 +326,7 @@ def load_checkpoint(path) -> Checkpoint:
     cfg, start = parse_json("config")
     try:
         config = _config_from_dict(cfg)
-        expected = snapshot_tensors(build_model(config, seed=0))
+        expected = tensor_shapes(config)
     except (KeyError, TypeError, ValueError) as exc:
         raise error(f"invalid config field {exc!r} in the JSON", start) from None
     n_tensors = struct.unpack("<I", take(4))[0]
@@ -322,18 +340,19 @@ def load_checkpoint(path) -> Checkpoint:
             raise error(f"tensor name {raw!r} is not UTF-8", start + 2) from None
         if name not in expected or name in tensors:
             raise error(f"tensor {name!r} is unknown to the config or repeated", start)
-        ref = expected[name]
+        shape = expected[name]
+        size = math.prod(shape)
         rank = take(1)[0]
-        if rank != ref.ndim:
-            raise error(f"tensor {name!r} has rank {rank}, config needs {ref.ndim}", off - 1)
+        if rank != len(shape):
+            raise error(f"tensor {name!r} has rank {rank}, config needs {len(shape)}", off - 1)
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        if dims != ref.shape:
-            raise error(f"tensor {name!r} has shape {dims}, config needs {ref.shape}",
+        if dims != shape:
+            raise error(f"tensor {name!r} has shape {dims}, config needs {shape}",
                         off - 4 * rank)
-        values = np.frombuffer(take(4 * ref.size), dtype="<f4")
+        values = np.frombuffer(take(4 * size), dtype="<f4")
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
-            raise error(f"tensor {name!r} holds a non-finite value", off - 4 * (ref.size - bad[0]))
+            raise error(f"tensor {name!r} holds a non-finite value", off - 4 * (size - bad[0]))
         tensors[name] = values.reshape(dims).copy()
     for name in expected:
         if name not in tensors:

@@ -491,3 +491,13 @@ def test_heatmap_class_is_typed_at_parse_time(workdir, tmp_path, capsys, value):
     assert exc.value.code == 2
     assert "--class" in capsys.readouterr().err
     assert not (tmp_path / "heatmap" / "manifest.json").exists()
+
+
+def test_divergence_message_names_op_epoch_and_step(workdir, tmp_path, capsys):
+    rc = main(["train", "--config", "bagnet5_32", "--data", str(workdir / "train.bagd"),
+               "--val", str(workdir / "val.bagd"), "--out", str(tmp_path / "div"),
+               "--epochs", "2", "--batch-size", "8", "--seed", "0", "--lr0", "1e39"])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert ("training diverged: non-finite values produced by op 'sgd_momentum_step' "
+            "at epoch 0 step 0; kept the last good checkpoint") in err

@@ -588,3 +588,111 @@ def test_numerical_error_names_the_layer(mode):
         else:
             model.train_mode()
             softmax_cross_entropy(bm.forward_logits(model, Tensor(images)), np.zeros(8, int))
+
+
+# ---------------------------------------------------------------------------
+# each conv's eval fold is built once per version of its source arrays
+
+def _restored(model):
+    """A fresh model restored from `model`'s tensors: its first pass builds
+    every fold anew."""
+    from bagnet.train import restore_tensors, snapshot_tensors
+
+    fresh = build_model(model.config, seed=0)
+    restore_tensors(fresh, snapshot_tensors(model))
+    return fresh
+
+
+def _outputs(model, images):
+    from bagnet.interpret import integrated_gradients, saliency
+
+    return (bm.evidence_batch(model, images), bm.batch_logits(model, images),
+            saliency(model, images[0], 1), integrated_gradients(model, images[1], 0, steps=8))
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+def test_cached_fold_passes_match_a_fresh_model_bit_for_bit(name):
+    model = _with_running_stats(build_model(SHIPPED_CONFIGS[name](), seed=5), seed=6)
+    size = model.config.input_size
+    images = np.random.default_rng(7).standard_normal((3, 3, size, size)).astype(np.float32)
+    _outputs(model, images[::-1].copy())           # builds the folds
+    cached = _outputs(model, images)
+    assert len(model.folds) == 1 + sum(c is not None for b in bm.layer_table(model.config)[1]
+                                       for c in b)
+    for got, want in zip(cached, _outputs(_restored(model), images)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("source", ["weight", "gamma", "beta", "running_mean", "running_var"])
+def test_in_place_write_after_an_eval_pass_raises(source):
+    """The arrays a fold was built from are read-only: an in-place write
+    raises instead of leaving the cached fold stale."""
+    model = build_model(bagnet9_32(), seed=0)
+    bm.evidence_batch(model, np.zeros((1, 3, 32, 32), np.float32))
+    if source.startswith("running"):
+        arr = getattr(model.bn["block1.bn2"], source)
+    else:
+        arr = model.params[f"block1.{'conv2' if source == 'weight' else 'bn2'}.{source}"].value.data
+    with pytest.raises(ValueError):
+        arr[:] = 2.0
+
+
+def test_replaced_arrays_build_a_new_fold():
+    """A new `.data`, a train-mode pass (new running statistics) and an SGD
+    step (new weights) each reach the next eval pass."""
+    from bagnet.autodiff import sgd_momentum_step, softmax_cross_entropy
+
+    model = _with_running_stats(build_model(bagnet9_32(), seed=5), seed=6)
+    images = np.random.default_rng(8).standard_normal((4, 3, 32, 32)).astype(np.float32)
+    before = bm.evidence_batch(model, images)
+    gamma = model.params["block1.bn2.gamma"].value
+    gamma.data = gamma.data * 2
+    replaced = bm.evidence_batch(model, images)
+    assert not np.array_equal(replaced, before)
+    assert replaced.tobytes() == bm.evidence_batch(_restored(model), images).tobytes()
+
+    model.train_mode()
+    loss = softmax_cross_entropy(bm.forward_logits(model, Tensor(images)), np.arange(4))
+    model.zero_grad()
+    loss.backward()
+    sgd_momentum_step(model.parameters(), 0.05, 0.9)
+    model.eval_mode()
+    stepped = bm.evidence_batch(model, images)
+    assert not np.array_equal(stepped, replaced)
+    assert stepped.tobytes() == bm.evidence_batch(_restored(model), images).tobytes()
+
+
+def test_second_pass_builds_no_fold(monkeypatch):
+    calls = []
+    original = bm.BatchNormState.eval_affine
+
+    def counting(self, gamma, beta):
+        calls.append(self)
+        return original(self, gamma, beta)
+
+    monkeypatch.setattr(bm.BatchNormState, "eval_affine", counting)
+    model = build_model(bagnet9_32(), seed=0)
+    images = np.random.default_rng(0).standard_normal((2, 3, 32, 32)).astype(np.float32)
+    bm.evidence_batch(model, images)
+    assert len(calls) == len(model.bn)
+    calls.clear()
+    bm.evidence_batch(model, images)
+    bm.forward_evidence(with_declared_q(model, 8), images[0])    # shares the folds
+    assert calls == []
+
+
+@pytest.mark.parametrize("running_var", [1.0, 0.0])
+def test_overflowing_fold_raises_numerical_error_and_no_warning(running_var):
+    """gamma 1e38 overflows float32 in the GEMM; with a zero running
+    variance the folded matrix itself overflows when it is rounded."""
+    import warnings
+
+    model = build_model(bagnet9_32(), seed=0)
+    model.params["block1.bn2.gamma"].value.data[:] = 1e38    # before any pass
+    model.bn["block1.bn2"].running_var = np.full(8, running_var, np.float32)
+    images = np.random.default_rng(1).standard_normal((2, 3, 32, 32)).astype(np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):      # a built and then a cached fold
+            with pytest.raises(NumericalError, match=r"^block1\.conv2/bn2: "):
+                bm.evidence_batch(model, images)

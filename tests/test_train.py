@@ -216,3 +216,44 @@ class TestCheckpoint:
         assert len(loaded.history) == len(ckpt.history)
         assert loaded.history[0]["val_top1"] == pytest.approx(
             ckpt.history[0]["val_top1"], rel=1e-6)
+
+
+def test_divergence_names_layer_op_epoch_and_step(tmp_path):
+    """The NumericalError text reaches the checkpoint's report with the epoch
+    and the batch index; the saved file is the one without the report."""
+    tr, va = tiny_sets()
+    model = build_model(TINY, seed=1)
+    good = train(model, tr, va, TrainConfig(epochs=1, batch_size=8, seed=0))
+    model.params["block0.bn2.gamma"].value.data = np.full(4, 1e38, np.float32)
+    ckpt = train(model, tr, va, TrainConfig(epochs=2, batch_size=8, seed=0), start_epoch=1,
+                 history=good.history)
+    assert ckpt.diverged
+    assert ckpt.divergence == ("block0.conv2/bn2: non-finite values produced by op "
+                               "'batch_norm' at epoch 1 step 0")
+    save_checkpoint(ckpt, tmp_path / "div.bagc")
+    quiet = load_checkpoint(tmp_path / "div.bagc")
+    assert quiet.diverged and quiet.divergence == ""
+    save_checkpoint(quiet, tmp_path / "again.bagc")
+    assert (tmp_path / "again.bagc").read_bytes() == (tmp_path / "div.bagc").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["bagnet5_32", "bagnet9_32", "bagnet17_64", "bagnet3_33"])
+def test_tensor_shapes_match_a_built_model_in_order(name):
+    from bagnet.model import SHIPPED_CONFIGS
+    from bagnet.train import tensor_shapes
+
+    config = SHIPPED_CONFIGS[name]()
+    table = snapshot_tensors(build_model(config, seed=0))
+    assert list(tensor_shapes(config).items()) == [(n, a.shape) for n, a in table.items()]
+
+
+def test_checkpoint_whose_config_misstates_q_is_refused(tmp_path):
+    from dataclasses import replace
+
+    from bagnet.train import Checkpoint
+
+    model = build_model(TINY, seed=0)
+    path = tmp_path / "q.bagc"
+    save_checkpoint(Checkpoint(replace(TINY, q=4), snapshot_tensors(model), 0, 0), path)
+    with pytest.raises(CheckpointFormatError, match="computed receptive field is 5"):
+        load_checkpoint(path)
