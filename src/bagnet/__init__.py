@@ -48,7 +48,6 @@ from .model import (
     image_logits,
     paper_scale,
     patch_oracle_evidence,
-    predict,
     receptive_field,
 )
 from .train import (

@@ -42,19 +42,20 @@ inverse std. In eval mode batch norm is the per-channel affine map
 x * scale + shift (`BatchNormState.eval_affine`).
 
 Eval-mode fold. A conv followed by eval-mode batch norm is one affine
-map, so `conv2d` takes the float64 per-output-channel `scale` and
-`shift` of `eval_affine`: `scale` multiplies the [Cout, Cin*k*k] GEMM
-matrix (in float64, rounded to the storage dtype once) and `shift` is
-added in place to the GEMM output. `fold_affine` is the one builder of
-that matrix and shift; a caller that runs the same conv again hands its
-result to `conv2d(fold=)`. The model uses the fold only for passes whose
-conv weight, gamma and beta take no gradient; training and eval passes
-that differentiate the parameters run conv2d -> batch_norm. It builds
-each conv's fold once per version of its five source arrays (weight,
-gamma, beta, running mean and variance), tells versions apart by array
-identity, and marks those arrays read-only: every writer here replaces
-a parameter's `.data` or a running statistic, and an in-place write
-after an eval pass raises ValueError instead of leaving a stale fold.
+map. `fold_affine` is its one builder, from the float64
+per-output-channel `scale` and `shift` of `eval_affine`: `scale`
+multiplies the [Cout, Cin*k*k] GEMM matrix (in float64, rounded to the
+storage dtype once), and `conv2d(fold=)` adds `shift` in place to the
+GEMM output. A folded weight takes no gradient, so `conv2d` refuses a
+fold whose weight requires one. The model uses the fold only for
+passes whose conv weight, gamma and beta take no gradient; training
+and eval passes that differentiate the parameters run conv2d ->
+batch_norm. It builds each conv's fold once per version of its five
+source arrays (weight, gamma, beta, running mean and variance), tells
+versions apart by array identity, and marks those arrays read-only:
+every writer here replaces a parameter's `.data` or a running
+statistic, and an in-place write after an eval pass raises ValueError
+instead of leaving a stale fold.
 
 An op that produces a non-finite value raises NumericalError instead of
 letting NaN/Inf flow downstream. Every op that can overflow or make a
@@ -358,38 +359,33 @@ def _col2im(gcols: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.nda
 
 class Fold(NamedTuple):
     """A per-output-channel affine map folded into a conv: the [Cout, Cin*k*k]
-    GEMM matrix with its rows times `scale`, and the shift ready to add to
-    the [N, Cout, Ho, Wo] output (storage dtype, None for no shift)."""
+    GEMM matrix with its rows scaled, and the shift ready to add to the
+    [N, Cout, Ho, Wo] output (storage dtype [1, Cout, 1, 1])."""
     matrix: np.ndarray
-    shift: Optional[np.ndarray]
-    scale: Optional[np.ndarray]      # float64 [Cout] (None for 1); the weight gradient's
+    shift: np.ndarray
 
 
 @_quiet
-def fold_affine(weight: np.ndarray, scale: Optional[np.ndarray] = None,
-                shift: Optional[np.ndarray] = None) -> Fold:
+def fold_affine(weight: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> Fold:
     """The one builder of folded conv constants: the [Cout, Cin, k, k]
     weight as a GEMM matrix times float64 `scale` per row, rounded to the
-    storage dtype once, and `shift` in the storage dtype."""
+    storage dtype once, and float64 `shift` in the storage dtype."""
     cout = weight.shape[0]
-    if any(c is not None and np.shape(c) != (cout,) for c in (scale, shift)):
+    if np.shape(scale) != (cout,) or np.shape(shift) != (cout,):
         raise DimensionError(f"scale and shift need one value per output channel ({cout})")
     dt = weight.dtype
-    wm = weight.reshape(cout, -1)
-    if scale is not None:
-        wm = (wm.astype(np.float64) * scale[:, None]).astype(dt)
-    return Fold(wm, None if shift is None else _per_channel(shift, dt), scale)
+    wm = (weight.reshape(cout, -1).astype(np.float64) * scale[:, None]).astype(dt)
+    return Fold(wm, _per_channel(shift, dt))
 
 
 @_quiet
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, zero_pad: int = 0,
-           scale: Optional[np.ndarray] = None, shift: Optional[np.ndarray] = None,
            *, fold: Optional[Fold] = None) -> Tensor:
-    """Cross-correlation of [N,Cin,H,W] with [Cout,Cin,k,k], k in {1,3},
-    times the constant `scale` plus the constant `shift` per output channel
-    when given (float64 [Cout] each; the eval-mode batch-norm fold).
-    `fold` hands in `fold_affine(weight.data, scale, shift)` built once by
-    the caller, in place of `scale` and `shift`.
+    """Cross-correlation of [N,Cin,H,W] with [Cout,Cin,k,k], k in {1,3}.
+    `fold` (from `fold_affine(weight.data, scale, shift)`, built once by the
+    caller) replaces the weight by its folded matrix and adds its shift per
+    output channel: the eval-mode batch-norm fold. The folded weight takes
+    no gradient, so a fold with a weight that requires one is refused.
 
     Output height is floor((H + 2*zero_pad - k) / stride) + 1. The GEMMs
     run in the storage dtype; the weight gradient's sum over the batch
@@ -408,24 +404,19 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, zero_pad: int = 0,
         raise DimensionError("stride must be >= 1")
     if min(hin, win) + 2 * zero_pad < k:
         raise DimensionError("spatial extent smaller than kernel")
-    if fold is None:
-        fold = (Fold(weight.data.reshape(cout, cin * k * k), None, None)
-                if scale is None and shift is None else fold_affine(weight.data, scale, shift))
-    elif scale is not None or shift is not None:
-        raise DimensionError("conv2d takes a fold or scale and shift, not both")
+    if fold is not None and weight.requires_grad:
+        raise DimensionError("conv2d cannot differentiate a folded weight")
 
     cols, hout, wout = _im2col(x.data, k, stride, zero_pad)
-    wm = fold.matrix
+    wm = weight.data.reshape(cout, -1) if fold is None else fold.matrix
     out = np.matmul(wm, cols).reshape(n, cout, hout, wout)
-    if fold.shift is not None:
+    if fold is not None:
         out += fold.shift
 
     def bw(g):
         gm = g.reshape(n, cout, hout * wout)
         if weight.requires_grad:
             gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0, dtype=np.float64)
-            if fold.scale is not None:
-                gw *= fold.scale[:, None]
             _accumulate(weight, gw.reshape(weight.shape))
         if x.requires_grad:
             gcols = np.matmul(wm.T, gm)
@@ -649,7 +640,10 @@ def sgd_momentum_step(params: Iterable[Parameter], lr: float, momentum: float) -
             raise MissingGradientError(f"no gradient for parameter {p.name!r}")
         p.momentum = momentum * p.momentum + p.value.grad
         p.value.data = p.value.data - lr * p.momentum
-        _check_finite(p.value.data, "sgd_momentum_step")
+        try:
+            _check_finite(p.value.data, "sgd_momentum_step")
+        except NumericalError as err:
+            raise NumericalError(f"{p.name}: {err}") from err
 
 
 def fanin_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:

@@ -378,6 +378,8 @@ def threshold_sweep(model: ModelState, dataset: Dataset, thresholds: Sequence[fl
     if mode not in ("clamp", "binarize"):
         raise PreconditionError(f"unknown threshold mode {mode!r}")
     check_topk(k, model.config.num_classes)
+    if np.isnan(thresholds).any():
+        raise PreconditionError(f"threshold nan in {list(thresholds)} is not a number")
     n = analysed_count(dataset, limit)
     ev = evidence_batch(model, norm_images(model, dataset, np.arange(n)))   # [n, K, Hm, Wm]
     labels = dataset.labels[:n].astype(np.int64)

@@ -39,7 +39,6 @@ from .autodiff import (
     linear,
     relu,
     residual_add,
-    softmax,
     spatial_mean,
 )
 
@@ -461,15 +460,8 @@ class EvidenceMap:
     offset: int               # top-left of location (0, 0), negative if padded
     input_hw: tuple[int, int]
 
-    def rf_top_left(self, i: int, j: int) -> tuple[int, int]:
-        return (self.offset + i * self.stride, self.offset + j * self.stride)
-
-    def is_interior(self, i: int, j: int) -> bool:
-        top, left = self.rf_top_left(i, j)
-        h, w = self.input_hw
-        return top >= 0 and left >= 0 and top + self.rf_size <= h and left + self.rf_size <= w
-
     def interior_mask(self) -> np.ndarray:
+        """[Hm, Wm] bool: True where the location's window lies inside the image."""
         _, hm, wm = self.logits.shape
         top = self.offset + np.arange(max(hm, wm)) * self.stride   # one axis at a time
         rows = (top[:hm] >= 0) & (top[:hm] + self.rf_size <= self.input_hw[0])
@@ -528,12 +520,6 @@ def patch_oracle_evidence(model: ModelState, image) -> EvidenceMap:
     logits = feats[:, :, 0, 0].astype(np.float64) @ w64.T + b64[None, :]
     logits = logits.T.reshape(model.config.num_classes, hm, wm)
     return EvidenceMap(logits.astype(np.float32), jump, rf, offset, (h, w))
-
-
-def predict(model: ModelState, image) -> tuple[int, np.ndarray]:
-    """(argmax class, softmax probabilities); ties go to the lowest index."""
-    logits = aggregate_then_classify(model, image)
-    return int(np.argmax(logits)), softmax(logits)
 
 
 # ---------------------------------------------------------------------------

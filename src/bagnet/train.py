@@ -63,6 +63,8 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.decay_factor <= 1.0:
             raise ValueError("decay_factor must be > 1")
+        if self.decay_every_epochs < 1:
+            raise ValueError("decay_every_epochs must be >= 1")
 
 
 def lr_at(config: TrainConfig, epoch: int) -> float:

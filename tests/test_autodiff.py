@@ -20,6 +20,7 @@ from bagnet.autodiff import (
     batch_norm,
     conv2d,
     crop2d,
+    fold_affine,
     linear,
     relu,
     residual_add,
@@ -402,8 +403,9 @@ def test_gradient_conv_weight(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_gradient_conv_with_scale_and_shift(seed):
-    """The eval-mode fold's per-channel constants: gradients of the input and
-    the weight, and the forward equal to conv, times scale, plus shift."""
+    """The eval-mode fold's per-channel constants: the input gradient, the
+    forward equal to conv, times scale, plus shift, and no folded weight
+    that takes a gradient."""
     rng = np.random.default_rng(seed + 150)
     x0 = rng.standard_normal((2, 2, 5, 5))
     w0 = rng.standard_normal((3, 2, 3, 3))
@@ -411,14 +413,14 @@ def test_gradient_conv_with_scale_and_shift(seed):
     r = rng.standard_normal((2, 3, 3, 3))
 
     def conv(x, w):
-        return conv2d(x, w, stride=2, zero_pad=1, scale=scale, shift=shift)
+        return conv2d(x, w, stride=2, zero_pad=1, fold=fold_affine(w.data, scale, shift))
     _fd_check(lambda x: weighted_sum(conv(x, Tensor(w0.astype(x.dtype), dtype=x.dtype)), r),
               x0, seed)
-    _fd_check(lambda w: weighted_sum(conv(Tensor(x0.astype(w.dtype), dtype=w.dtype), w), r),
-              w0, seed)
     folded = conv(Tensor(x0, dtype=np.float64), Tensor(w0, dtype=np.float64)).data
     want = reference_conv2d(x0, w0, stride=2, pad=1) * scale[:, None, None] + shift[:, None, None]
     np.testing.assert_allclose(folded, want, rtol=1e-12, atol=1e-12)
+    with pytest.raises(DimensionError):
+        conv(Tensor(x0), Tensor(w0, requires_grad=True))
 
 
 @pytest.mark.parametrize("seed", SEEDS)

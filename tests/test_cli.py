@@ -472,6 +472,7 @@ def chunked_passes(monkeypatch):
     ("heatmap", "--class", "7", "class 7"),
     ("interaction", "--p", "0", "p=0"),     # with --class-mode pred
     ("interaction", "--p", "5", "5-cell grid"),
+    ("threshold", "--thresholds", "nan,0", "threshold nan"),
 ])
 def test_bad_class_or_grid_is_refused_before_any_pass(workdir, tmp_path, capsys,
                                                       chunked_passes, command, flag, value,
@@ -499,5 +500,16 @@ def test_divergence_message_names_op_epoch_and_step(workdir, tmp_path, capsys):
                "--epochs", "2", "--batch-size", "8", "--seed", "0", "--lr0", "1e39"])
     assert rc == 5
     err = capsys.readouterr().err
-    assert ("training diverged: non-finite values produced by op 'sgd_momentum_step' "
-            "at epoch 0 step 0; kept the last good checkpoint") in err
+    assert ("training diverged: stem.conv.weight: non-finite values produced by op "
+            "'sgd_momentum_step' at epoch 0 step 0; kept the last good checkpoint") in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_decay_every_below_one_exits_4_before_any_output(workdir, tmp_path, capsys, value):
+    rc = main(["train", "--config", "bagnet5_32", "--data", str(workdir / "train.bagd"),
+               "--out", str(tmp_path / "run"), "--epochs", "1", "--batch-size", "8",
+               "--decay-every", value])
+    assert rc == 4
+    assert "decay_every_epochs" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "manifest.json").exists()
+    assert not (tmp_path / "run" / "model.bagc").exists()

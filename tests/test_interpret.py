@@ -497,17 +497,6 @@ class TestCrossModelConsistency:
         assert abs(null) < 0.2, f"permuted null unexpectedly correlated: {null}"
 
 
-def test_predict_agrees_with_evaluate(random_model, texture_batch):
-    from bagnet.model import predict
-    result = evaluate(random_model, texture_batch, k=1)
-    hits = 0
-    for idx in range(texture_batch.count):
-        img = norm_images(random_model, texture_batch, [idx])[0]
-        cls, _ = predict(random_model, img)
-        hits += int(cls == int(texture_batch.labels[idx]))
-    assert hits / texture_batch.count == pytest.approx(result.topk_accuracy, abs=1e-9)
-
-
 def test_evidence_batch_matches_forward_evidence(random_model, texture_batch):
     imgs = norm_images(random_model, texture_batch, [0, 1, 2])
     batch = evidence_batch(random_model, imgs)

@@ -1,7 +1,6 @@
 """Architecture-level checks: receptive-field arithmetic, oracle
 equivalence of the two evidence routes, linearity interchange, locality
-certification (positive and negative), scrambling invariance and
-prediction plumbing."""
+certification (positive and negative) and scrambling invariance."""
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from bagnet.model import (
     image_logits,
     paper_scale,
     patch_oracle_evidence,
-    predict,
     receptive_field,
     rf_geometry,
     with_declared_q,
@@ -143,15 +141,14 @@ class TestEvidence:
         with pytest.raises(ConfigError):
             forward_evidence(model, np.zeros((3, 8, 8), dtype=np.float32))
 
-    def test_rf_top_left_and_interior(self):
+    def test_interior_mask(self):
+        # 9x9 windows every 4 px from -1 (the stem pads by 1): row and column
+        # 0 reach past the top-left border, windows 1-6 end by pixel 32
         model = build_model(bagnet9_32(), seed=1)
         em = forward_evidence(model, np.zeros((3, 32, 32), dtype=np.float32))
-        assert em.rf_top_left(0, 0) == (-1, -1)      # stem pads by 1
-        assert not em.is_interior(0, 0)
-        assert em.is_interior(1, 1)
-        _, hm, wm = em.logits.shape
-        assert em.interior_mask().tolist() == [[em.is_interior(i, j) for j in range(wm)]
-                                               for i in range(hm)]
+        want = np.zeros((7, 7), dtype=bool)
+        want[1:, 1:] = True
+        np.testing.assert_array_equal(em.interior_mask(), want)
 
     @pytest.mark.parametrize("cfg_fn", [bagnet5_32, bagnet9_32])
     def test_oracle_equivalence(self, cfg_fn):
@@ -259,31 +256,6 @@ class TestScramblingInvariance:
         img = np.random.default_rng(0).standard_normal((3, 33, 33)).astype(np.float32)
         out = scramble_blocks(img, 3, np.arange((33 // 3) ** 2))
         assert out.tobytes() == img.tobytes()
-
-
-class TestPredict:
-    def test_zero_weight_uniform_probs_class0(self):
-        model = build_model(bagnet5_32(), seed=0)
-        model.params["classifier.weight"].value.data[:] = 0
-        model.params["classifier.bias"].value.data[:] = 0
-        cls, probs = predict(model, np.zeros((3, 32, 32), dtype=np.float32))
-        assert cls == 0
-        np.testing.assert_allclose(probs, np.full(4, 0.25), atol=1e-7)
-
-    def test_dominant_logit_wins(self):
-        model = build_model(bagnet5_32(), seed=0)
-        model.params["classifier.weight"].value.data[:] = 0
-        model.params["classifier.bias"].value.data[:] = 0
-        model.params["classifier.bias"].value.data[1] = 10.0
-        cls, probs = predict(model, np.zeros((3, 32, 32), dtype=np.float32))
-        assert cls == 1
-        assert probs[1] > 0.99
-
-    def test_probs_sum_to_one(self):
-        model = build_model(bagnet9_32(), seed=9)
-        img = np.random.default_rng(3).standard_normal((3, 32, 32)).astype(np.float32)
-        _, probs = predict(model, img)
-        assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 
 
 TINY_CFG = BagNetConfig(q=5, stem=(3, 1, 0, 4), blocks=(BlockSpec(4, 2, 8, 3, 2),),
