@@ -226,12 +226,8 @@ def cmd_analyze_sensitivity(args) -> int:
 
 def cmd_analyze_threshold(args) -> int:
     model, ds, out = _models_and_data(args, "analyze threshold", args.checkpoint)
-    thresholds = [float(t) for t in args.thresholds.split(",")]
-    modes = ["clamp", "binarize"] if args.mode == "both" else [args.mode]
-    rows = []
-    for mode in modes:
-        rows.extend(itp.threshold_sweep(model, ds, thresholds, mode, k=args.topk,
-                                        limit=args.limit))
+    rows = itp.threshold_sweep(model, ds, args.thresholds, args.mode, k=args.topk,
+                               limit=args.limit)
     (out / "threshold.csv").write_text(itp.threshold_csv(rows))
     for mode, t, k, acc in rows:
         print("%s t=%g: top-%d %.4f" % (mode, t, k, acc))
@@ -286,6 +282,15 @@ def _class_or_pred(text: str):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a class index or 'pred', got {text!r}") from None
+
+
+def _float_list(text: str) -> list[float]:
+    """Comma-separated numbers (`threshold --thresholds`); inf and nan parse."""
+    try:
+        return [float(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = an.add_parser("threshold")
     common(p, limit=True)
     p.add_argument("--mode", choices=["clamp", "binarize", "both"], default="both")
-    p.add_argument("--thresholds", required=True)
+    p.add_argument("--thresholds", type=_float_list, required=True)
     p.add_argument("--topk", type=int, default=1)
     p.set_defaults(func=cmd_analyze_threshold)
     p = an.add_parser("scramble")

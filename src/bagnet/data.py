@@ -201,37 +201,53 @@ def synth_texture_dataset(num_classes: int, per_class: int, size: int,
     random position: counts, border statistics and dot appearance carry
     no class information below the cell scale. A cell-aligned window of
     texture_scale pixels always contains one complete pair.
+
+    Per image, in label order: one uniform offset pair per anchor cell
+    (row-major), then [3,S,S] Gaussian noise. The image is
+    clip(128 + sum over anchors of (bright bump - dark bump) + noise), with
+    bumps added to a float64 field in anchor order. The field is built
+    for a chunk of images at a time (float64 temporaries near 1 MiB);
+    every pixel sees the same operations in the same order as an
+    image-by-image loop, so the bytes are identical to that definition.
     """
     if not texture_scale < size:
         raise ValueError("texture_scale must be smaller than the image size")
-    offsets = _dipole_offsets(num_classes, texture_scale)
+    offsets = np.array(_dipole_offsets(num_classes, texture_scale), dtype=np.float64)
     rng = seed_stream(seed, STREAM_SYNTH)
     s = texture_scale
     rho = max(1.0, s / 10.0)
     amp = 100.0
     noise_sigma = 10.0
-    yy, xx = np.mgrid[0:size, 0:size]
+    grid = np.arange(size, dtype=np.float64)
     anchors = [(r, c) for r in range(0, size, s) for c in range(0, size, s)]
 
-    def bump(py: float, px: float) -> np.ndarray:
-        return np.exp(-((yy - py) ** 2 + (xx - px) ** 2) / (2.0 * rho * rho))
-
     count = num_classes * per_class
+    labels = np.repeat(np.arange(num_classes, dtype=np.uint8), per_class)
     images = np.empty((count, 3, size, size), dtype=np.uint8)
-    labels = np.empty(count, dtype=np.uint8)
-    idx = 0
-    for c in range(num_classes):
-        dy, dx = offsets[c]
-        for _ in range(per_class):
-            field = np.full((size, size), 128.0)
-            for ar, ac in anchors:
-                u = rng.uniform(0, s, size=2)
-                field += amp * bump(ar + u[0], ac + u[1])
-                field -= amp * bump(ar + (u[0] + dy) % s, ac + (u[1] + dx) % s)
-            img = field[None, :, :] + rng.normal(0.0, noise_sigma, size=(3, size, size))
-            images[idx] = np.clip(img, 0, 255).astype(np.uint8)
-            labels[idx] = c
-            idx += 1
+    chunk = max(1, (1 << 20) // (3 * size * size * 8))
+    for start in range(0, count, chunk):
+        n = min(chunk, count - start)
+        # the stream interleaves each image's offsets and noise: draw per image
+        u = np.empty((n, len(anchors), 2))
+        img = np.empty((n, 3, size, size))
+        for i in range(n):
+            u[i] = rng.uniform(0, s, size=(len(anchors), 2))
+            img[i] = rng.normal(0.0, noise_sigma, size=(3, size, size))
+        dyx = offsets[labels[start:start + n]]                     # [n, 2]
+        field = np.full((n, size, size), 128.0)
+        bump = np.empty_like(field)
+        for a, (ar, ac) in enumerate(anchors):
+            for add, dot in ((True, u[:, a]), (False, (u[:, a] + dyx) % s)):
+                # -(dy2 + dx2) == (-dy2) + (-dx2) exactly: rounding is sign-symmetric
+                ndy2 = -((grid - (ar + dot[:, :1])) ** 2)           # [n, S]
+                ndx2 = -((grid - (ac + dot[:, 1:])) ** 2)
+                np.add(ndy2[:, :, None], ndx2[:, None, :], out=bump)
+                np.divide(bump, 2.0 * rho * rho, out=bump)
+                np.exp(bump, out=bump)
+                np.multiply(bump, amp, out=bump)
+                (np.add if add else np.subtract)(field, bump, out=field)
+        np.add(img, field[:, None], out=img)
+        images[start:start + n] = np.clip(img, 0, 255, out=img)
     names = [f"texture{c}" for c in range(num_classes)]
     return Dataset(images, labels, names, split=split)
 

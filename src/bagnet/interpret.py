@@ -374,8 +374,9 @@ def threshold_sweep(model: ModelState, dataset: Dataset, thresholds: Sequence[fl
                     limit: Optional[int] = None) -> list[tuple[str, float, int, float]]:
     """Transform every evidence logit before spatial averaging and re-derive
     top-k accuracy. clamp: values below t are raised to t; binarize: below
-    t -> 0, not below -> 1."""
-    if mode not in ("clamp", "binarize"):
+    t -> 0, not below -> 1; both: the clamp rows, then the binarize rows,
+    from one evidence pass."""
+    if mode not in ("clamp", "binarize", "both"):
         raise PreconditionError(f"unknown threshold mode {mode!r}")
     check_topk(k, model.config.num_classes)
     if np.isnan(thresholds).any():
@@ -384,14 +385,15 @@ def threshold_sweep(model: ModelState, dataset: Dataset, thresholds: Sequence[fl
     ev = evidence_batch(model, norm_images(model, dataset, np.arange(n)))   # [n, K, Hm, Wm]
     labels = dataset.labels[:n].astype(np.int64)
     rows = []
-    for t in thresholds:
-        if mode == "clamp":
-            transformed = np.maximum(ev, np.float32(t))
-        else:
-            transformed = (ev >= np.float32(t)).astype(np.float32)
-        logits = transformed.astype(np.float64).mean(axis=(2, 3))
-        acc = float(topk_hits(logits, labels, k).mean())
-        rows.append((mode, float(t), k, acc))
+    for m in ("clamp", "binarize") if mode == "both" else (mode,):
+        for t in thresholds:
+            if m == "clamp":
+                transformed = np.maximum(ev, np.float32(t))
+            else:
+                transformed = (ev >= np.float32(t)).astype(np.float32)
+            logits = transformed.astype(np.float64).mean(axis=(2, 3))
+            acc = float(topk_hits(logits, labels, k).mean())
+            rows.append((m, float(t), k, acc))
     return rows
 
 

@@ -57,12 +57,12 @@ class TrainConfig:
     augment: Optional[AugmentSpec] = None
 
     def __post_init__(self):
-        if self.lr0 <= 0 and self.lr0 != 0.0:
-            raise ValueError("lr0 must be positive")
+        if not 0.0 <= self.lr0 < math.inf:
+            raise ValueError(f"lr0 must be finite and >= 0, got {self.lr0}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.decay_factor <= 1.0:
-            raise ValueError("decay_factor must be > 1")
+        if not 1.0 < self.decay_factor < math.inf:
+            raise ValueError(f"decay_factor must be finite and > 1, got {self.decay_factor}")
         if self.decay_every_epochs < 1:
             raise ValueError("decay_every_epochs must be >= 1")
 

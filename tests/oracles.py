@@ -9,6 +9,7 @@ code with the package) so they can serve as oracles for the fast paths.
 import numpy as np
 
 from bagnet.autodiff import weighted_sum
+from bagnet.data import STREAM_SYNTH, _dipole_offsets, seed_stream
 
 
 def sum_all(x):
@@ -120,3 +121,31 @@ def reference_cell_scores(em, cls, p, grid):
                     scores[r, c] += value * np.float32(oy) * np.float32(ox)
     return scores.reshape(-1)
 
+
+
+def reference_texture_images(num_classes, per_class, size, texture_scale, seed):
+    """`synth_texture_dataset`'s images by its per-image definition: one
+    image at a time, two full-image bumps per anchor cell. The class
+    offsets and the random stream are the package's."""
+    offsets = _dipole_offsets(num_classes, texture_scale)
+    rng = seed_stream(seed, STREAM_SYNTH)
+    s = texture_scale
+    rho = max(1.0, s / 10.0)
+    yy, xx = np.mgrid[0:size, 0:size]
+
+    def bump(py, px):
+        return np.exp(-((yy - py) ** 2 + (xx - px) ** 2) / (2.0 * rho * rho))
+
+    images = []
+    for c in range(num_classes):
+        dy, dx = offsets[c]
+        for _ in range(per_class):
+            field = np.full((size, size), 128.0)
+            for ar in range(0, size, s):
+                for ac in range(0, size, s):
+                    u = rng.uniform(0, s, size=2)
+                    field += 100.0 * bump(ar + u[0], ac + u[1])
+                    field -= 100.0 * bump(ar + (u[0] + dy) % s, ac + (u[1] + dx) % s)
+            img = field[None, :, :] + rng.normal(0.0, 10.0, size=(3, size, size))
+            images.append(np.clip(img, 0, 255).astype(np.uint8))
+    return np.stack(images)

@@ -504,6 +504,29 @@ def test_divergence_message_names_op_epoch_and_step(workdir, tmp_path, capsys):
             "'sgd_momentum_step' at epoch 0 step 0; kept the last good checkpoint") in err
 
 
+@pytest.mark.parametrize("value", ["0,", "a", ""])
+def test_thresholds_are_typed_at_parse_time(workdir, tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(_analysis_argv(workdir, tmp_path, "threshold") + ["--thresholds", value])
+    assert exc.value.code == 2
+    assert "--thresholds" in capsys.readouterr().err
+    assert not (tmp_path / "threshold" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("flag,value,field", [("--lr0", "nan", "lr0"),
+                                              ("--lr0", "inf", "lr0"),
+                                              ("--decay-factor", "inf", "decay_factor"),
+                                              ("--decay-factor", "nan", "decay_factor")])
+def test_non_finite_rate_or_decay_exits_4_before_any_output(workdir, tmp_path, capsys,
+                                                            flag, value, field):
+    rc = main(["train", "--config", "bagnet5_32", "--data", str(workdir / "train.bagd"),
+               "--out", str(tmp_path / "run"), "--epochs", "1", "--batch-size", "8",
+               flag, value])
+    assert rc == 4
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_decay_every_below_one_exits_4_before_any_output(workdir, tmp_path, capsys, value):
     rc = main(["train", "--config", "bagnet5_32", "--data", str(workdir / "train.bagd"),

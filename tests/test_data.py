@@ -1,6 +1,8 @@
 """Dataset container round-trips and error paths, texture generator
 determinism and local decidability, augmentation and batching."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,38 @@ class TestSynthTextures:
         a = synth_texture_dataset(4, 5, 32, 8, seed=3)
         b = synth_texture_dataset(4, 5, 32, 8, seed=4)
         assert a.images.tobytes() != b.images.tobytes()
+
+    # sha256 of (images, labels, labels.dtype) from the image-by-image
+    # generator: 16 to 64 px, scales 3 to 24, 2 to 8 classes, one image per
+    # class, and counts that are not a multiple of the chunk
+    GOLDEN = [
+        ((2, 8, 16, 8, 3), "6305139f96289ad2223ee4f86cef15b0f30b4e3f1c16e4b94c674c119c5c39b4"),
+        ((4, 11, 32, 4, 9), "9767d15451271f22da2705bba44de57e13f8e04b7e71ac56357566192ef29aac"),
+        ((2, 1, 32, 8, 1), "0a4af28f740df711356a6e05a8f61f02ca27ed0dc155cf68701d1ec02a7142e9"),
+        ((2, 43, 32, 8, 12), "777669ab7025ccc29689344377f532ccdde1c50b57c10f4f03c6c57e6268e23a"),
+        ((4, 11, 33, 3, 61), "0de80f5fc5969f490b78dfc40be4afa60321567ca1bc5c87ca58fb29502aa7e0"),
+        ((3, 5, 33, 11, 2), "6d74a3de6aca1db63e930d6b9d23356f7c0ab6289b2e2df73d47c5d22de74316"),
+        ((8, 3, 64, 24, 4), "a585d34ebf182aab626a92fd24495ba9c971b180da05581f0020ec42ee89d0cf"),
+        ((6, 2, 64, 8, 5), "d0e0ab22d97b91bed3b601914c811f99c3230d64208f95252d224147aeb07737"),
+    ]
+
+    @pytest.mark.parametrize("args,digest", GOLDEN, ids=["-".join(map(str, a)) for a, _ in GOLDEN])
+    def test_golden_digest(self, args, digest):
+        ds = synth_texture_dataset(*args)
+        num_classes, per_class, size = args[:3]
+        assert ds.images.shape == (num_classes * per_class, 3, size, size)
+        h = hashlib.sha256()
+        for part in (ds.images.tobytes(), ds.labels.tobytes(), ds.labels.dtype.str.encode()):
+            h.update(part)
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("args", [(3, 5, 33, 11, 2), (2, 6, 64, 24, 7)])
+    def test_matches_image_by_image_definition(self, args):
+        # (2, 6, 64, 24): 12 images, more than one chunk and not a multiple of it
+        from oracles import reference_texture_images
+        ds = synth_texture_dataset(*args)
+        assert ds.images.tobytes() == reference_texture_images(*args).tobytes()
+        assert ds.labels.tolist() == [c for c in range(args[0]) for _ in range(args[1])]
 
     def test_scale_must_be_smaller_than_size(self):
         with pytest.raises(ValueError):

@@ -319,6 +319,12 @@ class TestThresholdSweep:
         freq0 = float((texture_batch.labels == 0).mean())
         assert rows[0][3] == pytest.approx(freq0, abs=1e-9)
 
+    def test_both_is_clamp_rows_then_binarize_rows(self, random_model, texture_batch):
+        ts = [-np.inf, -0.5, 0.0, 0.5]
+        both = threshold_sweep(random_model, texture_batch, ts, "both", k=2)
+        assert both == (threshold_sweep(random_model, texture_batch, ts, "clamp", k=2)
+                        + threshold_sweep(random_model, texture_batch, ts, "binarize", k=2))
+
     def test_unknown_mode(self, random_model, texture_batch):
         with pytest.raises(PreconditionError):
             threshold_sweep(random_model, texture_batch, [0.0], "squash")

@@ -52,6 +52,14 @@ class TestLearningRate:
         with pytest.raises(ValueError):
             TrainConfig(lr0=-0.1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("lr0", float("nan")), ("lr0", float("inf")),
+        ("decay_factor", float("nan")), ("decay_factor", float("inf")),
+    ])
+    def test_non_finite_rate_or_decay_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
 
 class TestTrainLoop:
     def test_single_class_zero_loss(self):
