@@ -12,8 +12,10 @@ Exit codes: 0 success, 2 usage error, 3 data-format error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -61,18 +63,27 @@ def _hash_file(path) -> str:
     return h.hexdigest()
 
 
+def _json_value(value):
+    """A flag value as strict JSON: paths and non-finite floats ("-inf",
+    "nan") become strings."""
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
+    if isinstance(value, Path) or (isinstance(value, float) and not math.isfinite(value)):
+        return str(value)
+    return value
+
+
 def write_manifest(out_dir: Path, subcommand: str, args: argparse.Namespace,
                    input_paths: list) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    resolved = {k: (str(v) if isinstance(v, Path) else v)
-                for k, v in sorted(vars(args).items()) if k != "func"}
+    resolved = {k: _json_value(v) for k, v in sorted(vars(args).items()) if k != "func"}
     manifest = {
         "tool_version": __version__,
         "subcommand": subcommand,
         "config": resolved,
         "inputs": {str(p): _hash_file(p) for p in input_paths},
     }
-    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False) + "\n"
     (out_dir / "manifest.json").write_text(text)
 
 
@@ -293,7 +304,19 @@ def _float_list(text: str) -> list[float]:
             f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _source_list(text: str) -> str:
+    """Comma-separated ranking sources (`sensitivity --sources`), each known
+    and named once; kept as text, which the manifest records."""
+    try:
+        itp.check_sources(text.split(","))
+    except itp.PreconditionError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `bagnet` parser, built once per process."""
     parser = argparse.ArgumentParser(prog="bagnet")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -371,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze_interaction)
     p = an.add_parser("sensitivity")
     common(p, limit=True, seed=True)
-    p.add_argument("--sources", default="bagnet,saliency,ig,random")
+    p.add_argument("--sources", type=_source_list, default="bagnet,saliency,ig,random")
     p.add_argument("--p", type=int, default=8)
     p.add_argument("--n-max", type=int, dest="n_max", default=8)
     p.set_defaults(func=cmd_analyze_sensitivity)
@@ -395,8 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DataFormatError, CheckpointFormatError, FileNotFoundError) as exc:

@@ -12,6 +12,7 @@ explicit degenerate outcome, never a silent 0 or 1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -123,6 +124,18 @@ def selected_cells(spec: MaskSpec, h: int, w: int) -> list[tuple[int, int]]:
     return cells
 
 
+def cell_means(images: np.ndarray, p: int) -> np.ndarray:
+    """The "dc" fill of every p x p cell of [N,C,gh*p,gw*p] images: its
+    per-channel mean, taken in float64 and rounded to float32 -> [N,C,gh,gw]."""
+    n, ch, h, w = images.shape
+    gh, gw = h // p, w // p
+    cells = images.reshape(n, ch, gh, p, gw, p).transpose(0, 1, 2, 4, 3, 5)
+    # each cell's p*p values contiguous, so its sum runs in the order of a lone
+    # [C,p,p] patch's mean over its last two axes
+    flat = cells.astype(np.float64, order="C").reshape(n, ch, gh, gw, p * p)
+    return flat.mean(axis=4).astype(np.float32)
+
+
 def apply_mask(image: np.ndarray, spec: MaskSpec) -> tuple[np.ndarray, list[PatchDelta]]:
     """Replace the selected p x p patches; returns the masked image and the
     per-patch difference tensors (masked - original)."""
@@ -132,12 +145,14 @@ def apply_mask(image: np.ndarray, spec: MaskSpec) -> tuple[np.ndarray, list[Patc
     masked = img.copy()
     deltas = []
     p = spec.p
+    r0, c0 = spec.phase
+    if spec.fill == "dc":
+        fills = cell_means(img[None, :, r0:, c0:], p)[0]
     for r, c in cells:
-        top, left = spec.phase[0] + r * p, spec.phase[1] + c * p
+        top, left = r0 + r * p, c0 + c * p
         patch = img[:, top:top + p, left:left + p]
         if spec.fill == "dc":
-            fill = patch.astype(np.float64).mean(axis=(1, 2)).astype(np.float32)
-            new = np.broadcast_to(fill[:, None, None], patch.shape)
+            new = np.broadcast_to(fills[:, r, c, None, None], patch.shape)
         else:
             kind, value = spec.fill
             if kind != "const":
@@ -301,6 +316,21 @@ def cell_scores_from_evidence(em: EvidenceMap, cls: int, p: int,
     return terms.astype(np.float64).reshape(hm * wm, -1).sum(axis=0)
 
 
+SENSITIVITY_SOURCES = ("bagnet", "saliency", "ig", "random")
+
+
+def check_sources(sources: Sequence[str]) -> None:
+    """Refuse an empty list of ranking sources, or one unknown or named twice."""
+    if not sources:
+        raise PreconditionError("no ranking source given")
+    for i, source in enumerate(sources):
+        if source not in SENSITIVITY_SOURCES:
+            raise PreconditionError(f"unknown ranking source {source!r}: expected "
+                                    f"{', '.join(SENSITIVITY_SOURCES)}")
+        if source in sources[:i]:
+            raise PreconditionError(f"ranking source {source!r} is named twice")
+
+
 def masking_sensitivity(model: ModelState, sources: Sequence[str], dataset: Dataset,
                         p: int = 8, n_max: int = 8, seed: int = 0,
                         limit: Optional[int] = None, ig_steps: int = 32,
@@ -312,47 +342,69 @@ def masking_sensitivity(model: ModelState, sources: Sequence[str], dataset: Data
     re-chosen per n. The random source's per-image trajectory is the mean
     over `random_draws` seeded rankings (an estimate of the expected random
     curve rather than one noisy sample).
+
+    The masked rows of every trajectory, image by image and source by
+    source, are filled into one buffer of `pass_images` rows, and each full
+    buffer is one `batch_logits` pass; the numbers are those of one pass
+    per trajectory.
     """
+    check_sources(sources)
+    if "random" in sources and random_draws < 1:
+        raise PreconditionError(f"random_draws={random_draws}: the random source needs >= 1")
     n_imgs = analysed_count(dataset, limit)
     size = dataset.size
     gh, gw = grid_cells(size, size, p, (0, 0))
     if not 0 <= n_max <= gh * gw:
         raise PreconditionError(f"n_max={n_max} is outside 0..{gh * gw}, the available cells")
     ns = list(range(n_max + 1))
-    per_image = {s: np.zeros((n_imgs, len(ns))) for s in sources}
-
-    def trajectory(img, leading, scores):
-        order = np.argsort(-scores, kind="stable")
-        variants = []
-        for n in ns:
-            cells = [(int(f) // gw, int(f) % gw) for f in order[:n]]
-            masked, _ = apply_mask(img, MaskSpec(p=p, pattern=tuple(cells)))
-            variants.append(masked)
-        logits = batch_logits(model, np.stack(variants))
-        return softmax(logits, axis=1)[:, leading]
-
     images = norm_images(model, dataset, np.arange(n_imgs))
     leading_classes = np.argmax(batch_logits(model, images), axis=1)
-    for idx, (img, leading) in enumerate(zip(images, leading_classes.tolist())):
+
+    def rankings(idx: int, img: np.ndarray, leading: int):
+        """Each source's cell scores for one image: one array per trajectory."""
         for source in sources:
             if source == "bagnet":
                 em = forward_evidence(model, img)
-                scores = cell_scores_from_evidence(em, leading, p, (gh, gw))
-            elif source == "saliency":
-                m = saliency(model, img, leading)
-                scores = m.reshape(gh, p, gw, p).sum(axis=(1, 3)).reshape(-1)
-            elif source == "ig":
-                m = integrated_gradients(model, img, leading, steps=ig_steps)
-                scores = m.reshape(gh, p, gw, p).sum(axis=(1, 3)).reshape(-1)
+                yield [cell_scores_from_evidence(em, leading, p, (gh, gw))]
             elif source == "random":
                 rng = seed_stream(seed, STREAM_ANALYSIS, idx)
-                draws = [trajectory(img, leading, rng.random(gh * gw))
-                         for _ in range(random_draws)]
-                per_image[source][idx] = np.mean(draws, axis=0)
-                continue
+                yield [rng.random(gh * gw) for _ in range(random_draws)]
             else:
-                raise PreconditionError(f"unknown ranking source {source!r}")
-            per_image[source][idx] = trajectory(img, leading, scores)
+                m = (saliency(model, img, leading) if source == "saliency"
+                     else integrated_gradients(model, img, leading, steps=ig_steps))
+                yield [m.reshape(gh, p, gw, p).sum(axis=(1, 3)).reshape(-1)]
+
+    def rows():
+        """(image, its dc-filled copy, pixels to fill) of every masked row."""
+        for idx, (img, leading) in enumerate(zip(images, leading_classes.tolist())):
+            dc = cell_means(img[None], p)[0].repeat(p, axis=1).repeat(p, axis=2)
+            for source_scores in rankings(idx, img, leading):
+                for scores in source_scores:
+                    rank = np.empty(gh * gw, dtype=np.int64)
+                    rank[np.argsort(-scores, kind="stable")] = np.arange(gh * gw)
+                    rank = rank.reshape(gh, gw).repeat(p, axis=0).repeat(p, axis=1)
+                    for n in ns:
+                        yield img, dc, rank < n
+
+    per_pass = pass_images(model.config, size, size)
+    batch = np.empty((per_pass, *images.shape[1:]), dtype=np.float32)
+    pending, logits = rows(), []
+    while chunk := list(itertools.islice(pending, per_pass)):
+        for out, (img, dc, masked) in zip(batch, chunk):
+            np.copyto(out, img)
+            np.copyto(out, dc, where=masked)
+        logits.append(batch_logits(model, batch[:len(chunk)]))
+    trajectories = np.concatenate(logits).reshape(n_imgs, -1, len(ns), logits[0].shape[1])
+
+    per_image = {s: np.zeros((n_imgs, len(ns))) for s in sources}
+    for idx, leading in enumerate(leading_classes.tolist()):
+        probs = (softmax(t, axis=1)[:, leading] for t in trajectories[idx])
+        for source in sources:
+            if source == "random":
+                per_image[source][idx] = np.mean([next(probs) for _ in range(random_draws)],
+                                                 axis=0)
+            else:
+                per_image[source][idx] = next(probs)
     return {s: SensitivityCurve(ns, per_image[s].mean(axis=0), per_image[s])
             for s in sources}
 

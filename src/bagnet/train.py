@@ -352,9 +352,9 @@ def load_checkpoint(path) -> Checkpoint:
             raise error(f"tensor {name!r} has shape {dims}, config needs {shape}",
                         off - 4 * rank)
         values = np.frombuffer(take(4 * size), dtype="<f4")
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise error(f"tensor {name!r} holds a non-finite value", off - 4 * (size - bad[0]))
+        if not np.isfinite(values).all():
+            bad = np.flatnonzero(~np.isfinite(values))[0]
+            raise error(f"tensor {name!r} holds a non-finite value", off - 4 * (size - bad))
         tensors[name] = values.reshape(dims).copy()
     for name in expected:
         if name not in tensors:

@@ -8,8 +8,8 @@ code with the package) so they can serve as oracles for the fast paths.
 
 import numpy as np
 
-from bagnet.autodiff import weighted_sum
-from bagnet.data import STREAM_SYNTH, _dipole_offsets, seed_stream
+from bagnet.autodiff import softmax, weighted_sum
+from bagnet.data import STREAM_ANALYSIS, STREAM_SYNTH, _dipole_offsets, seed_stream
 
 
 def sum_all(x):
@@ -121,6 +121,65 @@ def reference_cell_scores(em, cls, p, grid):
                     scores[r, c] += value * np.float32(oy) * np.float32(ox)
     return scores.reshape(-1)
 
+
+def reference_dc_mask(image, p, cells, phase=(0, 0)):
+    """`image` with each (row, col) p-cell of `cells` replaced by its own
+    per-channel mean, one patch at a time: the mean of the [3, p, p] patch
+    in float64, rounded to float32."""
+    img = np.asarray(image, dtype=np.float32)
+    masked = img.copy()
+    for r, c in cells:
+        top, left = phase[0] + r * p, phase[1] + c * p
+        patch = img[:, top:top + p, left:left + p]
+        fill = patch.astype(np.float64).mean(axis=(1, 2)).astype(np.float32)
+        masked[:, top:top + p, left:left + p] = fill[:, None, None]
+    return masked
+
+
+def reference_masking_sensitivity(model, sources, dataset, p=8, n_max=8, seed=0, limit=None,
+                                  ig_steps=32, random_draws=4):
+    """`masking_sensitivity` as one `batch_logits` call per trajectory, image
+    by image and source by source: per_image and mean_prob of each source.
+    The score sources, the seeded random draws and the logits are the
+    package's; the masks are `reference_dc_mask`."""
+    from bagnet.interpret import (batch_logits, cell_scores_from_evidence,
+                                  forward_evidence, integrated_gradients, norm_images,
+                                  saliency)
+    n_imgs = dataset.count if limit is None else min(limit, dataset.count)
+    gh = gw = dataset.size // p
+    ns = list(range(n_max + 1))
+    per_image = {s: np.zeros((n_imgs, len(ns))) for s in sources}
+
+    def trajectory(img, leading, scores):
+        order = np.argsort(-scores, kind="stable")
+        variants = []
+        for n in ns:
+            cells = [(int(f) // gw, int(f) % gw) for f in order[:n]]
+            variants.append(reference_dc_mask(img, p, cells))
+        logits = batch_logits(model, np.stack(variants))
+        return softmax(logits, axis=1)[:, leading]
+
+    images = norm_images(model, dataset, np.arange(n_imgs))
+    leading_classes = np.argmax(batch_logits(model, images), axis=1)
+    for idx, (img, leading) in enumerate(zip(images, leading_classes.tolist())):
+        for source in sources:
+            if source == "bagnet":
+                em = forward_evidence(model, img)
+                scores = cell_scores_from_evidence(em, leading, p, (gh, gw))
+            elif source == "saliency":
+                m = saliency(model, img, leading)
+                scores = m.reshape(gh, p, gw, p).sum(axis=(1, 3)).reshape(-1)
+            elif source == "ig":
+                m = integrated_gradients(model, img, leading, steps=ig_steps)
+                scores = m.reshape(gh, p, gw, p).sum(axis=(1, 3)).reshape(-1)
+            elif source == "random":
+                rng = seed_stream(seed, STREAM_ANALYSIS, idx)
+                draws = [trajectory(img, leading, rng.random(gh * gw))
+                         for _ in range(random_draws)]
+                per_image[source][idx] = np.mean(draws, axis=0)
+                continue
+            per_image[source][idx] = trajectory(img, leading, scores)
+    return {s: (per_image[s], per_image[s].mean(axis=0)) for s in sources}
 
 
 def reference_texture_images(num_classes, per_class, size, texture_scale, seed):

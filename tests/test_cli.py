@@ -4,7 +4,11 @@ codes and byte-identical reruns."""
 import argparse
 import contextlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -536,3 +540,61 @@ def test_decay_every_below_one_exits_4_before_any_output(workdir, tmp_path, caps
     assert "decay_every_epochs" in capsys.readouterr().err
     assert not (tmp_path / "run" / "manifest.json").exists()
     assert not (tmp_path / "run" / "model.bagc").exists()
+
+
+@pytest.mark.parametrize("value,named", [("bagnet,mystery", "'mystery'"), ("", "''"),
+                                         ("bagnet,", "''"), ("random,random", "named twice"),
+                                         ("ig,bagnet,ig", "named twice")])
+def test_sources_are_typed_at_parse_time(workdir, tmp_path, capsys, value, named):
+    with pytest.raises(SystemExit) as exc:
+        main(_analysis_argv(workdir, tmp_path, "sensitivity") + ["--sources", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--sources" in err and named in err
+    assert not (tmp_path / "sensitivity" / "manifest.json").exists()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_run_after_a_usage_error_writes_what_a_fresh_process_writes(workdir, tmp_path):
+    """The parser outlives each `main` call: a refused command line leaves
+    nothing behind that changes the next run's artifacts."""
+    argv = _analysis_argv(workdir, tmp_path, "sensitivity")
+    out = tmp_path / "sensitivity"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    fresh = subprocess.run([sys.executable, "-m", "bagnet.cli", *argv], env=env,
+                           capture_output=True, text=True)
+    assert fresh.returncode == 0, fresh.stderr
+    want = {p.name: p.read_bytes() for p in out.iterdir()}
+    for p in out.iterdir():
+        p.unlink()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--sources", "bagnet,bagnet"])
+    assert exc.value.code == 2
+    assert main(argv) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == want
+    assert set(want) == {"manifest.json", "sensitivity.csv"}
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_every_manifest_is_strict_json(workdir, tmp_path, tmp_path_factory):
+    """No manifest holds NaN or +-Infinity tokens; a non-finite flag value is
+    written as its string. Runs last in this file, so it reads every manifest
+    the file's tests wrote."""
+    assert main(_analysis_argv(workdir, tmp_path, "threshold")
+                + ["--thresholds=-inf,-1,0,1,inf"]) == 0
+    manifest = _strict_json((tmp_path / "threshold" / "manifest.json").read_text())
+    assert manifest["config"]["thresholds"] == ["-inf", -1.0, 0.0, 1.0, "inf"]
+    written = list(tmp_path_factory.getbasetemp().rglob("manifest.json"))
+    assert len(written) > 1
+    for path in written:
+        _strict_json(path.read_text())

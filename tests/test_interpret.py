@@ -119,6 +119,18 @@ class TestApplyMask:
         with pytest.raises(PreconditionError):
             apply_mask(img, MaskSpec(p=8))
 
+    @pytest.mark.parametrize("size,p,phase", [(32, 8, (0, 0)), (33, 8, (1, 1)), (33, 11, (0, 0)),
+                                              (64, 16, (0, 0)), (35, 3, (2, 2)), (32, 1, (0, 0))])
+    def test_dc_fill_equals_the_patch_by_patch_mean_bit_for_bit(self, size, p, phase):
+        from oracles import reference_dc_mask
+        rng = np.random.default_rng(size + p)
+        img = (100.0 * rng.standard_normal((3, size, size)) + 7.0).astype(np.float32)
+        spec = MaskSpec(p=p, phase=phase)
+        masked, _ = apply_mask(img, spec)
+        cells = [(r, c) for r in range(0, (size - phase[0]) // p, 2)
+                 for c in range(0, (size - phase[1]) // p, 2)]
+        assert np.array_equal(masked, reference_dc_mask(img, p, cells, phase))
+
 
 class TestInteraction:
     def test_separated_masking_is_additive_on_bagnet(self, random_model, texture_batch):
@@ -276,6 +288,31 @@ class TestMaskingSensitivity:
         with pytest.raises(PreconditionError):
             masking_sensitivity(random_model, ["mystery"], texture_batch,
                                 p=8, n_max=2, limit=2)
+
+    @pytest.mark.parametrize("config,p,n_max", [("bagnet5_32", 8, 8), ("bagnet9_32", 8, 8),
+                                                ("bagnet17_64", 16, 7), ("bagnet3_33", 11, 5)])
+    def test_equals_one_pass_per_trajectory_bit_for_bit(self, config, p, n_max):
+        """Every source's per_image and mean_prob equal those of the per-image,
+        per-source loop, on images enough that a pass holds rows of two."""
+        from oracles import reference_masking_sensitivity
+        from bagnet.data import channel_stats
+        model = build_model(SHIPPED_CONFIGS[config](), seed=5)
+        size = model.config.input_size
+        data = synth_texture_dataset(4, 1, size, 8, seed=12, split="val")
+        model.norm_mean, model.norm_std = channel_stats(data)
+        sources, n_imgs = ["bagnet", "saliency", "ig", "random"], 3
+        rows = 7 * (n_max + 1)            # per image: one trajectory per source, 4 random
+        per_pass = pass_images(model.config, size, size)
+        assert any(start // rows != (start + per_pass - 1) // rows
+                   for start in range(0, n_imgs * rows - per_pass, per_pass))
+        curves = masking_sensitivity(model, sources, data, p=p, n_max=n_max, seed=3,
+                                     limit=n_imgs)
+        want = reference_masking_sensitivity(model, sources, data, p=p, n_max=n_max, seed=3,
+                                             limit=n_imgs)
+        assert list(curves) == sources
+        for source in sources:
+            assert np.array_equal(curves[source].per_image, want[source][0])
+            assert np.array_equal(curves[source].mean_prob, want[source][1])
 
     def test_csv_layout(self, random_model, texture_batch):
         curves = masking_sensitivity(random_model, ["bagnet", "random"], texture_batch,
@@ -585,6 +622,47 @@ class TestOneBatchedPath:
         interaction_experiment(random_model, texture_batch, p=8)
         group = pass_images(random_model.config, 32, 32) // (2 + cells)
         assert passes == [(2 + cells) * c for c in _chunks(n, group)]
+
+    @pytest.mark.parametrize("n_max,draws", [(8, 4), (2, 1), (16, 3)])
+    def test_sensitivity_trajectories_are_pass_sized_chunks(self, random_model, texture_batch,
+                                                            passes, n_max, draws):
+        """After the one pass of the unmasked images, the trajectory rows of
+        every image and draw go in passes of `pass_images` rows; only the
+        last is shorter."""
+        n = 5
+        masking_sensitivity(random_model, ["random"], texture_batch, p=8, n_max=n_max,
+                            limit=n, random_draws=draws)
+        per_pass = pass_images(random_model.config, 32, 32)
+        assert passes == _chunks(n, per_pass) + _chunks(n * draws * (n_max + 1), per_pass)
+
+    def test_sensitivity_logits_calls_span_sources_and_images(self, random_model, texture_batch,
+                                                              monkeypatch):
+        import bagnet.interpret as bi
+        calls = []
+        original = bi.batch_logits
+
+        def recording(model, images):
+            calls.append(len(images))
+            return original(model, images)
+
+        monkeypatch.setattr(bi, "batch_logits", recording)
+        n, n_max = 4, 8
+        masking_sensitivity(random_model, ["bagnet", "saliency", "ig", "random"], texture_batch,
+                            p=8, n_max=n_max, limit=n)
+        per_pass = pass_images(random_model.config, 32, 32)
+        assert calls == [n] + _chunks(n * 7 * (n_max + 1), per_pass)
+
+    @pytest.mark.parametrize("sources,named", [
+        (["bagnet", "mystery"], "unknown ranking source 'mystery'"),
+        (["random", "ig", "random"], "ranking source 'random' is named twice"),
+        (["ig", ""], "unknown ranking source ''"),
+        ([], "no ranking source"),
+    ])
+    def test_sensitivity_refuses_a_bad_source_before_any_pass(self, random_model, texture_batch,
+                                                              passes, sources, named):
+        with pytest.raises(PreconditionError, match=named):
+            masking_sensitivity(random_model, sources, texture_batch, p=8, n_max=2, limit=2)
+        assert passes == []
 
     @pytest.mark.parametrize("p,cells", [(8, 4), (4, 16), (1, 256)])
     def test_interaction_logit_fn_gets_bounded_groups_of_whole_images(self, texture_batch,
