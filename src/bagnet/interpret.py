@@ -12,7 +12,6 @@ explicit degenerate outcome, never a silent 0 or 1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -244,18 +243,25 @@ def interaction_csv(result: InteractionResult) -> str:
 # ---------------------------------------------------------------------------
 # attribution baselines
 
-def _class_gradient(model: ModelState, images: np.ndarray, cls: int) -> np.ndarray:
-    """d(sum over batch of class-cls image logit) / d(input); eval-mode BN
-    keeps samples independent, so row k is the gradient for image k."""
+def _class_gradient(model: ModelState, images: np.ndarray, classes) -> np.ndarray:
+    """d(class logit of each row) / d(input) of [N,3,H,W] images, with one
+    class per row or one for all rows. Runs in passes of `pass_images` rows,
+    each keeping its own backward graph; eval-mode BN keeps rows
+    independent, so row k is image k's gradient whatever pass holds it."""
     if model.mode != "eval":
         raise PreconditionError("attribution requires eval mode")
+    classes = np.broadcast_to(classes, len(images))
+    step = pass_images(model.config, *images.shape[2:])
+    grads = []
     with frozen_params(model):
-        x = Tensor(images, requires_grad=True)
-        logits = forward_logits(model, x)
-        w = np.zeros(logits.shape, dtype=np.float64)
-        w[:, cls] = 1.0
-        weighted_sum(logits, w).backward()
-    return x.grad.copy()
+        for start in range(0, len(images), step):
+            x = Tensor(images[start:start + step], requires_grad=True)
+            logits = forward_logits(model, x)
+            w = np.zeros(logits.shape, dtype=np.float64)
+            w[np.arange(len(w)), classes[start:start + step]] = 1.0
+            weighted_sum(logits, w).backward()
+            grads.append(x.grad)
+    return np.concatenate(grads)
 
 
 def saliency(model: ModelState, image: np.ndarray, cls: int) -> np.ndarray:
@@ -343,10 +349,11 @@ def masking_sensitivity(model: ModelState, sources: Sequence[str], dataset: Data
     over `random_draws` seeded rankings (an estimate of the expected random
     curve rather than one noisy sample).
 
-    The masked rows of every trajectory, image by image and source by
-    source, are filled into one buffer of `pass_images` rows, and each full
-    buffer is one `batch_logits` pass; the numbers are those of one pass
-    per trajectory.
+    Cell scores are one [images, trajectories, cells] array; saliency's come
+    from one `_class_gradient` call over all images. The masked rows of every
+    trajectory go to `batch_logits` in passes of `pass_images` rows. Gradient
+    passes hold as many rows, each with its graph (measured: about 1.8 MB per
+    bagnet9_32 row). The numbers are those of one pass per trajectory.
     """
     check_sources(sources)
     if "random" in sources and random_draws < 1:
@@ -358,55 +365,42 @@ def masking_sensitivity(model: ModelState, sources: Sequence[str], dataset: Data
         raise PreconditionError(f"n_max={n_max} is outside 0..{gh * gw}, the available cells")
     ns = list(range(n_max + 1))
     images = norm_images(model, dataset, np.arange(n_imgs))
-    leading_classes = np.argmax(batch_logits(model, images), axis=1)
+    leading = np.argmax(batch_logits(model, images), axis=1)
 
-    def rankings(idx: int, img: np.ndarray, leading: int):
-        """Each source's cell scores for one image: one array per trajectory."""
-        for source in sources:
-            if source == "bagnet":
-                em = forward_evidence(model, img)
-                yield [cell_scores_from_evidence(em, leading, p, (gh, gw))]
-            elif source == "random":
-                rng = seed_stream(seed, STREAM_ANALYSIS, idx)
-                yield [rng.random(gh * gw) for _ in range(random_draws)]
-            else:
-                m = (saliency(model, img, leading) if source == "saliency"
-                     else integrated_gradients(model, img, leading, steps=ig_steps))
-                yield [m.reshape(gh, p, gw, p).sum(axis=(1, 3)).reshape(-1)]
+    scores = []                                     # per source: [images, trajectories, cells]
+    for source in sources:
+        if source == "bagnet":
+            scores.append([[cell_scores_from_evidence(forward_evidence(model, img), c, p, (gh, gw))]
+                           for img, c in zip(images, leading)])
+        elif source == "random":
+            scores.append([seed_stream(seed, STREAM_ANALYSIS, idx).random((random_draws, gh * gw))
+                           for idx in range(n_imgs)])
+        else:
+            maps = (np.abs(_class_gradient(model, images, leading)).sum(axis=1)
+                    if source == "saliency" else
+                    np.stack([integrated_gradients(model, img, c, steps=ig_steps)
+                              for img, c in zip(images, leading)]))
+            scores.append(maps.reshape(n_imgs, 1, gh, p, gw, p).sum(axis=(3, 5))
+                          .reshape(n_imgs, 1, -1))
+    scores = np.concatenate(scores, axis=1)
+    ranks = np.argsort(np.argsort(-scores, axis=2, kind="stable"), axis=2)
 
-    def rows():
-        """(image, its dc-filled copy, pixels to fill) of every masked row."""
-        for idx, (img, leading) in enumerate(zip(images, leading_classes.tolist())):
-            dc = cell_means(img[None], p)[0].repeat(p, axis=1).repeat(p, axis=2)
-            for source_scores in rankings(idx, img, leading):
-                for scores in source_scores:
-                    rank = np.empty(gh * gw, dtype=np.int64)
-                    rank[np.argsort(-scores, kind="stable")] = np.arange(gh * gw)
-                    rank = rank.reshape(gh, gw).repeat(p, axis=0).repeat(p, axis=1)
-                    for n in ns:
-                        yield img, dc, rank < n
-
+    fills = cell_means(images, p)[:, :, :, None, :, None]
+    shape = (*scores.shape[:2], len(ns))            # a row per image, trajectory and n
+    rows = np.arange(np.prod(shape))
     per_pass = pass_images(model.config, size, size)
-    batch = np.empty((per_pass, *images.shape[1:]), dtype=np.float32)
-    pending, logits = rows(), []
-    while chunk := list(itertools.islice(pending, per_pass)):
-        for out, (img, dc, masked) in zip(batch, chunk):
-            np.copyto(out, img)
-            np.copyto(out, dc, where=masked)
-        logits.append(batch_logits(model, batch[:len(chunk)]))
-    trajectories = np.concatenate(logits).reshape(n_imgs, -1, len(ns), logits[0].shape[1])
-
-    per_image = {s: np.zeros((n_imgs, len(ns))) for s in sources}
-    for idx, leading in enumerate(leading_classes.tolist()):
-        probs = (softmax(t, axis=1)[:, leading] for t in trajectories[idx])
-        for source in sources:
-            if source == "random":
-                per_image[source][idx] = np.mean([next(probs) for _ in range(random_draws)],
-                                                 axis=0)
-            else:
-                per_image[source][idx] = next(probs)
-    return {s: SensitivityCurve(ns, per_image[s].mean(axis=0), per_image[s])
-            for s in sources}
+    logits = []
+    for start in range(0, len(rows), per_pass):
+        img, traj, n = np.unravel_index(rows[start:start + per_pass], shape)
+        masked = (ranks[img, traj] < n[:, None]).reshape(-1, 1, gh, 1, gw, 1)
+        pixels = images[img]
+        filled = np.where(masked, fills[img], pixels.reshape(-1, 3, gh, p, gw, p))
+        logits.append(batch_logits(model, filled.reshape(pixels.shape)))
+    logits = np.concatenate(logits).reshape(*shape, -1)
+    probs = softmax(logits, axis=3)[np.arange(n_imgs), :, :, leading]   # [images, traj, n]
+    counts = [random_draws if source == "random" else 1 for source in sources]
+    per_image = [t.mean(axis=1) for t in np.split(probs, np.cumsum(counts)[:-1], axis=1)]
+    return {s: SensitivityCurve(ns, m.mean(axis=0), m) for s, m in zip(sources, per_image)}
 
 
 def sensitivity_csv(curves: dict[str, SensitivityCurve]) -> str:

@@ -387,7 +387,10 @@ def frozen_params(model: ModelState):
 # bytes that the largest tensor of a network pass may take: passes of
 # evidence_batch / batch_logits hold this many bytes of their largest
 # per-image im2col matrix or activation, so a pass stays in cache and its
-# memory is bounded whatever the size of the batch
+# memory is bounded whatever the size of the batch. Input-gradient passes
+# (interpret._class_gradient) take as many rows, but each keeps its whole
+# backward graph, measured at about 1.8 MB per bagnet9_32 row at 32 px: far
+# above this budget, yet still bounded whatever the number of rows
 PASS_BYTES = 4 << 20
 
 

@@ -57,6 +57,10 @@ class TrainConfig:
     augment: Optional[AugmentSpec] = None
 
     def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.lr0 < math.inf:
             raise ValueError(f"lr0 must be finite and >= 0, got {self.lr0}")
         if not 0.0 <= self.momentum < 1.0:

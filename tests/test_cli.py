@@ -542,6 +542,20 @@ def test_decay_every_below_one_exits_4_before_any_output(workdir, tmp_path, caps
     assert not (tmp_path / "run" / "model.bagc").exists()
 
 
+@pytest.mark.parametrize("flag,value,field", [("--batch-size", "0", "batch_size"),
+                                              ("--batch-size", "-8", "batch_size"),
+                                              ("--epochs", "-1", "epochs")])
+def test_batch_size_below_one_or_negative_epochs_exits_4_before_any_output(
+        workdir, tmp_path, capsys, flag, value, field):
+    argv = ["train", "--config", "bagnet5_32", "--data", str(workdir / "train.bagd"),
+            "--out", str(tmp_path / "run"), "--epochs", "1", "--batch-size", "8"]
+    rc = main(argv + [flag, value])
+    assert rc == 4
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "run" / "manifest.json").exists()
+    assert not (tmp_path / "run" / "model.bagc").exists()
+
+
 @pytest.mark.parametrize("value,named", [("bagnet,mystery", "'mystery'"), ("", "''"),
                                          ("bagnet,", "''"), ("random,random", "named twice"),
                                          ("ig,bagnet,ig", "named twice")])

@@ -652,6 +652,24 @@ class TestOneBatchedPath:
         per_pass = pass_images(random_model.config, 32, 32)
         assert calls == [n] + _chunks(n * 7 * (n_max + 1), per_pass)
 
+    def test_integrated_gradients_runs_in_pass_sized_chunks(self, random_model, passes):
+        img = np.random.default_rng(7).standard_normal((3, 32, 32)).astype(np.float32)
+        integrated_gradients(random_model, img, 1, steps=64)
+        assert passes == _chunks(64, pass_images(random_model.config, 32, 32))
+
+    @pytest.mark.parametrize("config", sorted(SHIPPED_CONFIGS))
+    def test_class_gradient_per_row_classes_equal_one_row_calls_bit_for_bit(self, config):
+        """A class per row, over more rows than one gradient pass holds."""
+        from bagnet.interpret import _class_gradient
+        model = build_model(SHIPPED_CONFIGS[config](), seed=4)
+        size = model.config.input_size
+        rows = pass_images(model.config, size, size) + 2
+        imgs = np.random.default_rng(6).standard_normal((rows, 3, size, size)).astype(np.float32)
+        classes = np.arange(rows) % model.config.num_classes
+        grads = _class_gradient(model, imgs, classes)
+        for img, cls, grad in zip(imgs, classes, grads):
+            assert np.array_equal(grad, _class_gradient(model, img[None], cls)[0])
+
     @pytest.mark.parametrize("sources,named", [
         (["bagnet", "mystery"], "unknown ranking source 'mystery'"),
         (["random", "ig", "random"], "ranking source 'random' is named twice"),
