@@ -150,10 +150,8 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     write_manifest(out, "train", args, [args.data] + ([args.val] if args.val else []))
     model = build_model(config, seed=args.seed)
-    rows = []
 
     def sink(row):
-        rows.append(row)
         print("epoch %d lr %.5g loss %.5g val_top1 %.4f" %
               (row["epoch"], row["lr"], row["train_loss"], row["val_top1"]))
 

@@ -210,6 +210,15 @@ def synth_texture_dataset(num_classes: int, per_class: int, size: int,
     every pixel sees the same operations in the same order as an
     image-by-image loop, so the bytes are identical to that definition.
     """
+    if not 1 <= num_classes <= 255:
+        raise ValueError(f"num_classes={num_classes} must be in 1..255, the range of "
+                         "a BAGD class table")
+    if per_class < 1:
+        raise ValueError(f"per_class={per_class} must be at least 1")
+    if texture_scale < 1:
+        raise ValueError(f"texture_scale={texture_scale} must be at least 1")
+    if size > 65535:
+        raise ValueError(f"size={size} exceeds 65535, the largest a BAGD file can hold")
     if not texture_scale < size:
         raise ValueError("texture_scale must be smaller than the image size")
     offsets = np.array(_dipole_offsets(num_classes, texture_scale), dtype=np.float64)

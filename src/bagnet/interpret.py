@@ -79,16 +79,10 @@ def norm_images(model: ModelState, dataset: Dataset, indices) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MaskSpec:
-    """Spatially separated patch modifications on a p-grid.
-
-    pattern "alternate" selects every second cell in every second row;
-    an explicit tuple of (row, col) cell indices selects exactly those.
-    fill "dc" replaces a patch with its own per-channel spatial mean;
-    ("const", v) fills with the constant v.
-    """
+    """Spatially separated patch modifications: every second p x p cell in
+    every second row of the p-grid that starts at `phase`, each replaced by
+    its own per-channel spatial mean (the "dc" fill)."""
     p: int
-    pattern: object = "alternate"      # "alternate" | tuple[(r, c), ...]
-    fill: object = "dc"                # "dc" | ("const", v)
     phase: tuple[int, int] = (0, 0)
 
 
@@ -112,15 +106,7 @@ def grid_cells(h: int, w: int, p: int, phase: tuple[int, int]) -> tuple[int, int
 
 def selected_cells(spec: MaskSpec, h: int, w: int) -> list[tuple[int, int]]:
     gh, gw = grid_cells(h, w, spec.p, spec.phase)
-    if spec.pattern == "alternate":
-        return [(r, c) for r in range(0, gh, 2) for c in range(0, gw, 2)]
-    cells = [tuple(rc) for rc in spec.pattern]
-    if len(set(cells)) != len(cells):
-        raise PreconditionError("explicit mask cells overlap")
-    for r, c in cells:
-        if not (0 <= r < gh and 0 <= c < gw):
-            raise PreconditionError(f"cell {(r, c)} outside the {gh}x{gw} grid")
-    return cells
+    return [(r, c) for r in range(0, gh, 2) for c in range(0, gw, 2)]
 
 
 def cell_means(images: np.ndarray, p: int) -> np.ndarray:
@@ -136,8 +122,8 @@ def cell_means(images: np.ndarray, p: int) -> np.ndarray:
 
 
 def apply_mask(image: np.ndarray, spec: MaskSpec) -> tuple[np.ndarray, list[PatchDelta]]:
-    """Replace the selected p x p patches; returns the masked image and the
-    per-patch difference tensors (masked - original)."""
+    """Fill the selected p x p patches with their dc means; returns the masked
+    image and the per-patch difference tensors (masked - original)."""
     img = np.asarray(image, dtype=np.float32)
     _, h, w = img.shape
     cells = selected_cells(spec, h, w)
@@ -145,20 +131,12 @@ def apply_mask(image: np.ndarray, spec: MaskSpec) -> tuple[np.ndarray, list[Patc
     deltas = []
     p = spec.p
     r0, c0 = spec.phase
-    if spec.fill == "dc":
-        fills = cell_means(img[None, :, r0:, c0:], p)[0]
+    fills = cell_means(img[None, :, r0:, c0:], p)[0]
     for r, c in cells:
         top, left = r0 + r * p, c0 + c * p
-        patch = img[:, top:top + p, left:left + p]
-        if spec.fill == "dc":
-            new = np.broadcast_to(fills[:, r, c, None, None], patch.shape)
-        else:
-            kind, value = spec.fill
-            if kind != "const":
-                raise PreconditionError(f"unknown fill {spec.fill!r}")
-            new = np.full_like(patch, np.float32(value))
-        masked[:, top:top + p, left:left + p] = new
-        deltas.append(PatchDelta(top, left, (new - patch).copy()))
+        window = np.s_[:, top:top + p, left:left + p]
+        masked[window] = fills[:, r, c, None, None]
+        deltas.append(PatchDelta(top, left, masked[window] - img[window]))
     return masked, deltas
 
 

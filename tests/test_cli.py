@@ -433,6 +433,23 @@ def test_topk_out_of_range_is_refused_before_any_pass(workdir, tmp_path, monkeyp
     assert passes
 
 
+@pytest.mark.parametrize("flag,value,named", [("--size", "70000", "size=70000"),
+                                              ("--classes", "0", "num_classes=0"),
+                                              ("--classes", "256", "num_classes=256"),
+                                              ("--per-class", "0", "per_class=0"),
+                                              ("--per-class", "-1", "per_class=-1"),
+                                              ("--texture-scale", "0", "texture_scale=0"),
+                                              ("--texture-scale", "-3", "texture_scale=-3")])
+def test_bad_synth_size_exits_4_naming_it_before_any_output(tmp_path, capsys, flag, value,
+                                                            named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(SYNTH + ["--out", str(tmp_path / "d.bagd"), flag, value])
+    assert rc == 4
+    assert named in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.fixture(scope="module")
 def small_images(workdir):
     """8 px images, below bagnet9_32's q=9, and an untrained bagnet9_32
