@@ -15,7 +15,6 @@ from .autodiff import (
     conv2d,
     linear,
     relu,
-    residual_add,
     sgd_momentum_step,
     softmax,
     softmax_cross_entropy,

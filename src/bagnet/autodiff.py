@@ -251,6 +251,7 @@ def _common_dtype(*tensors: Tensor):
 
 @_quiet
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two same-shape tensors; gradients pass to both."""
     if a.shape != b.shape:
         raise DimensionError(f"add shape mismatch {a.shape} vs {b.shape}")
     _common_dtype(a, b)
@@ -262,11 +263,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, g)
 
     return _result(a.data + b.data, "add", (a, b), bw)
-
-
-def residual_add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two same-shape tensors; gradients pass to both."""
-    return add(a, b)
 
 
 def relu(x: Tensor) -> Tensor:

@@ -26,6 +26,7 @@ from .autodiff import NumericalError
 from .data import (
     DataFormatError,
     convert_cifar10,
+    csv_text,
     load_dataset,
     save_dataset,
     synth_texture_dataset,
@@ -168,10 +169,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, ds, out = _models_and_data(args, "eval", args.checkpoint)
     result = evaluate(model, ds, k=args.topk)
-    lines = ["metric,value", "top%d_accuracy,%.9g" % (args.topk, result.topk_accuracy)]
-    for c, acc in enumerate(result.per_class):
-        lines.append("class%d_accuracy,%.9g" % (c, acc))
-    (out / "eval.csv").write_text("\n".join(lines) + "\n")
+    rows = [(f"top{args.topk}_accuracy", result.topk_accuracy)]
+    rows += [(f"class{c}_accuracy", acc) for c, acc in enumerate(result.per_class)]
+    (out / "eval.csv").write_text(csv_text(("metric", "value"), rows))
     np.save(out / "logits.npy", result.logits)
     print("top-%d accuracy: %.4f" % (args.topk, result.topk_accuracy))
     return EXIT_OK
@@ -214,7 +214,8 @@ def cmd_analyze_interaction(args) -> int:
     model, ds, out = _models_and_data(args, "analyze interaction", args.checkpoint)
     result = itp.interaction_experiment(model, ds, args.p, limit=args.limit,
                                         class_mode=args.class_mode)
-    (out / "interaction.csv").write_text(itp.interaction_csv(result))
+    rows = [*zip(result.image_indices, result.lhs, result.rhs), ("pearson_r", result.r, "")]
+    (out / "interaction.csv").write_text(csv_text(("image_index", "lhs", "rhs"), rows))
     r_text = "degenerate" if result.degenerate else "%.6f" % result.r
     print(f"p={args.p}: pearson r = {r_text}, "
           f"max relative gap = {result.max_relative_gap():.3g}")
@@ -226,7 +227,9 @@ def cmd_analyze_sensitivity(args) -> int:
     sources = args.sources.split(",")
     curves = itp.masking_sensitivity(model, sources, ds, p=args.p, n_max=args.n_max,
                                      seed=args.seed, limit=args.limit)
-    (out / "sensitivity.csv").write_text(itp.sensitivity_csv(curves))
+    rows = [(s, n, prob) for s, curve in curves.items()
+            for n, prob in zip(curve.n_masked, curve.mean_prob)]
+    (out / "sensitivity.csv").write_text(csv_text(("source", "n", "mean_prob"), rows))
     for s, curve in curves.items():
         print(f"{s}: prob {curve.mean_prob[0]:.4f} -> {curve.mean_prob[-1]:.4f} "
               f"at n={curve.n_masked[-1]}")
@@ -237,7 +240,7 @@ def cmd_analyze_threshold(args) -> int:
     model, ds, out = _models_and_data(args, "analyze threshold", args.checkpoint)
     rows = itp.threshold_sweep(model, ds, args.thresholds, args.mode, k=args.topk,
                                limit=args.limit)
-    (out / "threshold.csv").write_text(itp.threshold_csv(rows))
+    (out / "threshold.csv").write_text(csv_text(("mode", "threshold", "topk", "accuracy"), rows))
     for mode, t, k, acc in rows:
         print("%s t=%g: top-%d %.4f" % (mode, t, k, acc))
     return EXIT_OK
@@ -246,11 +249,7 @@ def cmd_analyze_threshold(args) -> int:
 def cmd_analyze_scramble(args) -> int:
     model, ds, out = _models_and_data(args, "analyze scramble", args.checkpoint)
     result = itp.scramble_test(model, ds, seed=args.seed, limit=args.limit)
-    text = ("metric,value\nclean_accuracy,%.9g\nscrambled_accuracy,%.9g\n"
-            "max_logit_delta,%.9g\nn_images,%d\n" %
-            (result.clean_accuracy, result.scrambled_accuracy,
-             result.max_logit_delta, result.n_images))
-    (out / "scramble.csv").write_text(text)
+    (out / "scramble.csv").write_text(csv_text(("metric", "value"), vars(result).items()))
     print("clean %.4f scrambled %.4f max logit delta %.3g" %
           (result.clean_accuracy, result.scrambled_accuracy, result.max_logit_delta))
     return EXIT_OK
@@ -262,7 +261,8 @@ def cmd_analyze_scatter(args) -> int:
     eval_a = evaluate(model_a, ds, k=args.topk)
     eval_b = evaluate(model_b, ds, k=args.topk)
     result = itp.per_class_scatter(eval_a.per_class, eval_b.per_class)
-    (out / "class_scatter.csv").write_text(itp.scatter_csv(result))
+    rows = [(c, a, b) for c, (a, b) in enumerate(zip(result.per_class_a, result.per_class_b))]
+    (out / "class_scatter.csv").write_text(csv_text(("class", "acc_a", "acc_b"), rows))
     print("per-class r =", "degenerate" if result.degenerate else "%.4f" % result.r)
     return EXIT_OK
 
@@ -273,8 +273,7 @@ def cmd_analyze_logitcorr(args) -> int:
     eval_a = evaluate(model_a, ds, k=1)
     eval_b = evaluate(model_b, ds, k=1)
     r = itp.logit_correlation(eval_a.logits, eval_b.logits)
-    text = "metric,value\npearson_r,%s\n" % ("degenerate" if r is None else "%.9g" % r)
-    (out / "logitcorr.csv").write_text(text)
+    (out / "logitcorr.csv").write_text(csv_text(("metric", "value"), [("pearson_r", r)]))
     print("logit correlation:", "degenerate" if r is None else "%.4f" % r)
     return EXIT_OK
 

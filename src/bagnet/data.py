@@ -1,5 +1,5 @@
-"""Dataset container, binary format, synthetic texture generator and
-the deterministic batch pipeline.
+"""Dataset container, binary format, the CSV writer of every artifact,
+synthetic texture generator and the deterministic batch pipeline.
 
 Everything here is a pure function of (inputs, seed): repeated runs are
 bitwise identical. Random streams are derived from a base seed through
@@ -167,6 +167,27 @@ def convert_cifar10(batch_paths) -> Dataset:
         labels.append(arr[:, 0].copy())
         images.append(arr[:, 1:].reshape(-1, 3, 32, 32).copy())
     return Dataset(np.concatenate(images), np.concatenate(labels), list(CIFAR10_NAMES))
+
+
+# ---------------------------------------------------------------------------
+# CSV artifacts
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return "degenerate"
+    if isinstance(value, (int, np.integer)):
+        return "%d" % value
+    if isinstance(value, (float, np.floating)):
+        return "%.9g" % value     # reads back every float32 exactly
+    return str(value)
+
+
+def csv_text(header, rows) -> str:
+    """The one CSV form of every artifact: the `header` names, then one line
+    per row, each line ending in a newline. An int (Python or numpy) is
+    written in decimal, a float to 9 significant digits, None (a degenerate
+    statistic) as `degenerate`, anything else as its text."""
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in [header, *rows])
 
 
 # ---------------------------------------------------------------------------

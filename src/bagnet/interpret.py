@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .autodiff import Tensor, softmax, weighted_sum
-from .data import Dataset, STREAM_ANALYSIS, normalize_images, seed_stream
+from .data import Dataset, STREAM_ANALYSIS, csv_text, normalize_images, seed_stream
 from .model import (
     EvidenceMap,
     ModelState,
@@ -194,7 +194,11 @@ def interaction_experiment(model: ModelState, dataset: Dataset, p: int,
                            class_mode: str = "label") -> InteractionResult:
     n = analysed_count(dataset, limit)
     spec = MaskSpec(p=p)
-    selected_cells(spec, dataset.size, dataset.size)    # refuse a bad grid before any pass
+    # refuse a bad grid, or one with no two cells to add up, before any pass
+    cells = len(selected_cells(spec, dataset.size, dataset.size))
+    if cells < 2:
+        raise PreconditionError(f"p={p} on {dataset.size}x{dataset.size} images selects "
+                                f"{cells} alternate cell; the additivity test needs at least 2")
     indices = list(range(n))
     images = norm_images(model, dataset, indices)
     if class_mode == "label":
@@ -207,15 +211,6 @@ def interaction_experiment(model: ModelState, dataset: Dataset, p: int,
                                  pass_images(model.config, dataset.size, dataset.size))
     r = pearson(lhs, rhs)
     return InteractionResult(indices, lhs, rhs, r, r is None)
-
-
-def interaction_csv(result: InteractionResult) -> str:
-    lines = ["image_index,lhs,rhs"]
-    for idx, l, r in zip(result.image_indices, result.lhs, result.rhs):
-        lines.append("%d,%.9g,%.9g" % (idx, l, r))
-    summary = "degenerate" if result.degenerate else "%.9g" % result.r
-    lines.append(f"pearson_r,{summary},")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +376,6 @@ def masking_sensitivity(model: ModelState, sources: Sequence[str], dataset: Data
     return {s: SensitivityCurve(ns, m.mean(axis=0), m) for s, m in zip(sources, per_image)}
 
 
-def sensitivity_csv(curves: dict[str, SensitivityCurve]) -> str:
-    lines = ["source,n,mean_prob"]
-    for source in curves:
-        curve = curves[source]
-        for n, prob in zip(curve.n_masked, curve.mean_prob):
-            lines.append("%s,%d,%.9g" % (source, n, prob))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # logit thresholding
 
@@ -419,13 +405,6 @@ def threshold_sweep(model: ModelState, dataset: Dataset, thresholds: Sequence[fl
             acc = float(topk_hits(logits, labels, k).mean())
             rows.append((m, float(t), k, acc))
     return rows
-
-
-def threshold_csv(rows: list[tuple[str, float, int, float]]) -> str:
-    lines = ["mode,threshold,topk,accuracy"]
-    for mode, t, k, acc in rows:
-        lines.append("%s,%.9g,%d,%.9g" % (mode, t, k, acc))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +472,6 @@ def per_class_scatter(per_class_a: np.ndarray, per_class_b: np.ndarray) -> Scatt
     return ScatterResult(a, b, r, r is None)
 
 
-def scatter_csv(result: ScatterResult) -> str:
-    lines = ["class,acc_a,acc_b"]
-    for c, (a, b) in enumerate(zip(result.per_class_a, result.per_class_b)):
-        lines.append("%d,%.9g,%.9g" % (c, a, b))
-    return "\n".join(lines) + "\n"
-
-
 def logit_correlation(logits_a: np.ndarray, logits_b: np.ndarray) -> Optional[float]:
     """Pearson over all (image, class) logit pairs; None when degenerate."""
     a = np.asarray(logits_a, dtype=np.float64)
@@ -544,21 +516,13 @@ def heatmap_rgb(evidence: EvidenceMap, cls: int) -> np.ndarray:
     return diverging_rgb(scaled[iy][:, ix])
 
 
-def heatmap_csv(evidence: EvidenceMap, cls: int) -> str:
-    lines = ["i,j,logit"]
-    _, hm, wm = evidence.logits.shape
-    for i in range(hm):
-        for j in range(wm):
-            lines.append("%d,%d,%.9g" % (i, j, evidence.logits[cls, i, j]))
-    return "\n".join(lines) + "\n"
-
-
 def export_heatmap(evidence: EvidenceMap, cls: int, path) -> None:
     """PPM rendering (symmetric color scale about 0) plus a raw-logit CSV
     sidecar at <path>.csv that round-trips the float32 values exactly."""
     write_ppm(path, heatmap_rgb(evidence, cls))
+    rows = [(i, j, v) for (i, j), v in np.ndenumerate(evidence.logits[cls])]
     with open(str(path) + ".csv", "w", newline="") as fh:
-        fh.write(heatmap_csv(evidence, cls))
+        fh.write(csv_text(("i", "j", "logit"), rows))
 
 
 @dataclass

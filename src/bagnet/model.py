@@ -31,6 +31,7 @@ from .autodiff import (
     NumericalError,
     Parameter,
     Tensor,
+    add,
     batch_norm,
     conv2d,
     crop2d,
@@ -38,7 +39,6 @@ from .autodiff import (
     fold_affine,
     linear,
     relu,
-    residual_add,
     spatial_mean,
 )
 
@@ -358,7 +358,7 @@ def forward_features(model: ModelState, x: Tensor, stem_pad: Optional[int] = Non
         # pad-0 3x3 middle convs shrink the main path; align the shortcut
         # to the top-left window anchor
         short = crop2d(short, main.shape[2], main.shape[3])
-        h = relu(residual_add(main, short))
+        h = relu(add(main, short))
     return h
 
 

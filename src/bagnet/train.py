@@ -25,7 +25,7 @@ from .autodiff import (
     sgd_momentum_step,
     softmax_cross_entropy,
 )
-from .data import AugmentSpec, Dataset, batch_iterator, channel_stats, normalize_images
+from .data import AugmentSpec, Dataset, batch_iterator, channel_stats, csv_text, normalize_images
 from .model import (
     BagNetConfig,
     BlockSpec,
@@ -248,12 +248,12 @@ def _config_from_dict(d: dict) -> BagNetConfig:
         feature_dim=d["feature_dim"], name=d.get("name", "custom"))
 
 
+HISTORY_COLUMNS = ("epoch", "lr", "train_loss", "val_top1")
+
+
 def history_to_csv(history: list[dict]) -> str:
-    lines = ["epoch,lr,train_loss,val_top1"]
-    for row in history:
-        lines.append("%d,%.9g,%.9g,%.9g" % (row["epoch"], row["lr"],
-                                            row["train_loss"], row["val_top1"]))
-    return "\n".join(lines) + "\n"
+    """The history as `metrics.csv` and the checkpoint's meta both hold it."""
+    return csv_text(HISTORY_COLUMNS, [[row[c] for c in HISTORY_COLUMNS] for row in history])
 
 
 def history_from_csv(text: str) -> list[dict]:

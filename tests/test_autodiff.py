@@ -23,7 +23,6 @@ from bagnet.autodiff import (
     fold_affine,
     linear,
     relu,
-    residual_add,
     sgd_momentum_step,
     softmax,
     softmax_cross_entropy,
@@ -142,14 +141,14 @@ class TestElementwise:
     def test_residual_add_identities(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((2, 3)).astype(np.float32)
-        np.testing.assert_array_equal(residual_add(Tensor(a), Tensor(np.zeros_like(a))).data, a)
-        np.testing.assert_array_equal(residual_add(Tensor(a), Tensor(-a)).data, np.zeros_like(a))
+        np.testing.assert_array_equal(add(Tensor(a), Tensor(np.zeros_like(a))).data, a)
+        np.testing.assert_array_equal(add(Tensor(a), Tensor(-a)).data, np.zeros_like(a))
         b = rng.standard_normal((2, 3)).astype(np.float32)
-        np.testing.assert_array_equal(residual_add(Tensor(a), Tensor(b)).data, a + b)
+        np.testing.assert_array_equal(add(Tensor(a), Tensor(b)).data, a + b)
 
     def test_residual_add_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            residual_add(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))))
+            add(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))))
 
     def test_spatial_mean(self):
         const = spatial_mean(Tensor(np.full((1, 2, 4, 4), 3.5)))
@@ -505,7 +504,7 @@ def test_gradient_residual_add(seed):
     other = rng.standard_normal((2, 2, 3, 3))
     r = rng.standard_normal((2, 2, 3, 3))
     _fd_check(lambda x: weighted_sum(
-        residual_add(x, Tensor(other.astype(x.dtype), dtype=x.dtype)), r), x0, seed)
+        add(x, Tensor(other.astype(x.dtype), dtype=x.dtype)), r), x0, seed)
 
 
 # ---------------------------------------------------------------------------

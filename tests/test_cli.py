@@ -107,11 +107,12 @@ def test_analyze_heatmap_and_rerun_bytes(workdir, tmp_path):
 
 def test_analyze_interaction(workdir, tmp_path, capsys):
     assert main(["analyze", "interaction", "--checkpoint", str(workdir / "run" / "model.bagc"),
-                 "--data", str(workdir / "val.bagd"), "--p", "8", "--limit", "6",
+                 "--data", str(workdir / "val.bagd"), "--p", "4", "--limit", "6",
                  "--out", str(tmp_path / "i")]) == 0
     lines = (tmp_path / "i" / "interaction.csv").read_text().strip().split("\n")
     assert lines[0] == "image_index,lhs,rhs"
     assert lines[-1].startswith("pearson_r,")
+    assert len(lines) == 2 + 6
 
 
 def test_analyze_sensitivity(workdir, tmp_path):
@@ -317,7 +318,7 @@ def test_class_out_of_range_exits_4(workdir, tmp_path, capsys, analysis, cls):
 ANALYSIS_ARGS = {
     "heatmap": ["--image", "1", "--class", "0"],
     "patches": ["--class", "1", "--k", "2", "--limit", "8"],
-    "interaction": ["--p", "8", "--class-mode", "pred", "--limit", "4"],
+    "interaction": ["--p", "4", "--class-mode", "pred", "--limit", "4"],
     "sensitivity": ["--sources", "bagnet,random", "--p", "8", "--n-max", "1",
                     "--limit", "2", "--seed", "1"],
     "threshold": ["--mode", "clamp", "--thresholds=-inf,0", "--topk", "1", "--limit", "8"],
@@ -493,6 +494,7 @@ def chunked_passes(monkeypatch):
     ("heatmap", "--class", "7", "class 7"),
     ("interaction", "--p", "0", "p=0"),     # with --class-mode pred
     ("interaction", "--p", "5", "5-cell grid"),
+    ("interaction", "--p", "8", "p=8 on 16x16 images selects 1"),
     ("threshold", "--thresholds", "nan,0", "threshold nan"),
 ])
 def test_bad_class_or_grid_is_refused_before_any_pass(workdir, tmp_path, capsys,

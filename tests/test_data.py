@@ -1,5 +1,6 @@
-"""Dataset container round-trips and error paths, texture generator
-determinism and local decidability, augmentation and batching."""
+"""Dataset container round-trips and error paths, the CSV cell forms,
+texture generator determinism and local decidability, augmentation and
+batching."""
 
 import hashlib
 
@@ -17,6 +18,7 @@ from bagnet.data import (
     bilinear_resize,
     channel_stats,
     convert_cifar10,
+    csv_text,
     load_dataset,
     random_resized_crop,
     save_dataset,
@@ -132,6 +134,32 @@ class TestContainer:
         p.write_bytes(bytes(3072))  # one byte short of a record
         with pytest.raises(TruncatedPayloadError):
             convert_cifar10([p])
+
+
+# float32 values whose written form must read back bit for bit: two whose 8-digit
+# form reads back as a neighbour, the float after 1, the largest finite, the smallest
+# subnormal, -0
+FLOAT32_EXACT = np.array([0.104900114, -0.108914725, 1 + 2**-23, 3.4028235e38, 1.4e-45, -0.0],
+                         np.float32)
+
+
+@pytest.mark.parametrize("value,text", [
+    (7, "7"), (np.int64(-3), "-3"), (np.uint8(255), "255"),
+    (2 / 3, "0.666666667"), (np.float64(-1e-300), "-1e-300"), (0.25, "0.25"),
+    (float("inf"), "inf"), (-np.inf, "-inf"), (np.float32("nan"), "nan"),
+    ("pearson_r", "pearson_r"), ("", ""),
+    (None, "degenerate"),
+] + [(v, None) for v in FLOAT32_EXACT])
+def test_csv_text_cell_forms(value, text):
+    """Every artifact's cells: ints in decimal, floats to 9 significant digits
+    (so a float32 reads back exactly), text as is, None as `degenerate`."""
+    head, row, end = csv_text(("name", "cell"), [("row", value)]).split("\n")
+    assert (head, end) == ("name,cell", "") and row.startswith("row,")
+    cell = row[len("row,"):]
+    if text is None:
+        assert np.float32(float(cell)).tobytes() == value.tobytes()
+    else:
+        assert cell == text
 
 
 class TestSynthTextures:

@@ -26,10 +26,9 @@ from bagnet.interpret import (
     cell_scores_from_evidence,
     evidence_batch,
     batch_logits,
-    heatmap_csv,
+    export_heatmap,
     heatmap_rgb,
     integrated_gradients,
-    interaction_csv,
     interaction_experiment,
     interaction_pairs,
     logit_correlation,
@@ -39,7 +38,6 @@ from bagnet.interpret import (
     per_class_scatter,
     saliency,
     scramble_test,
-    sensitivity_csv,
     threshold_sweep,
     top_patches,
     write_ppm,
@@ -146,14 +144,6 @@ class TestInteraction:
         lhs, rhs = interaction_pairs(logit_fn, images, np.zeros(4, dtype=int),
                                      MaskSpec(p=8), per_pass=8)
         assert pearson(lhs, rhs) is None
-
-    def test_csv_has_summary_row(self, random_model, texture_batch):
-        result = interaction_experiment(random_model, texture_batch, p=8, limit=4)
-        text = interaction_csv(result)
-        lines = text.strip().split("\n")
-        assert lines[0] == "image_index,lhs,rhs"
-        assert lines[-1].startswith("pearson_r,")
-        assert len(lines) == 2 + 4
 
 
 class TestSaliency:
@@ -295,13 +285,6 @@ class TestMaskingSensitivity:
             assert np.array_equal(curves[source].per_image, want[source][0])
             assert np.array_equal(curves[source].mean_prob, want[source][1])
 
-    def test_csv_layout(self, random_model, texture_batch):
-        curves = masking_sensitivity(random_model, ["bagnet", "random"], texture_batch,
-                                     p=8, n_max=2, limit=3)
-        lines = sensitivity_csv(curves).strip().split("\n")
-        assert lines[0] == "source,n,mean_prob"
-        assert len(lines) == 1 + 2 * 3
-
     def test_cell_scores_use_rf_intersection(self, random_model, texture_batch):
         img = norm_images(random_model, texture_batch, [0])[0]
         em = forward_evidence(random_model, img)
@@ -408,11 +391,13 @@ class TestHeatmapExport:
         assert tuple(rgb[cy, cx]) == (255, 0, 0)
         assert tuple(rgb[0, 31]) == (255, 255, 255)
 
-    def test_csv_round_trips_float32_exactly(self, random_model, texture_batch):
+    def test_csv_round_trips_float32_exactly(self, tmp_path, random_model, texture_batch):
         img = norm_images(random_model, texture_batch, [3])[0]
         em = forward_evidence(random_model, img)
-        text = heatmap_csv(em, 2)
-        for line in text.strip().split("\n")[1:]:
+        export_heatmap(em, 2, tmp_path / "h.ppm")
+        lines = (tmp_path / "h.ppm.csv").read_text().strip().split("\n")
+        assert lines[0] == "i,j,logit" and len(lines) == 1 + em.logits[2].size
+        for line in lines[1:]:
             i, j, v = line.split(",")
             assert np.float32(float(v)) == em.logits[2, int(i), int(j)]
 

@@ -432,7 +432,7 @@ def test_rf_geometry_is_pinned(config, geometry):
 # ---------------------------------------------------------------------------
 # numpy evidence and logit passes keep no backward graph
 
-GRAPH_OPS = ("conv2d", "batch_norm", "relu", "crop2d", "residual_add", "spatial_mean", "linear")
+GRAPH_OPS = ("conv2d", "batch_norm", "relu", "crop2d", "add", "spatial_mean", "linear")
 
 
 @pytest.mark.parametrize("path", ["evidence_batch", "batch_logits", "patch_oracle_evidence"])
