@@ -113,16 +113,20 @@ def _keep_freed_buffers() -> None:
     round of the analyses took about 82,000 minor page faults, some 40% of
     its time, and a cost that varies with the state of the host. A fixed
     32 MiB mmap threshold (glibc's ceiling) and a 1 GiB trim threshold keep
-    those pages in the process. A C library without mallopt (or a
-    platform where ctypes cannot open the running process) is left alone.
+    those pages in the process. One arena (M_ARENA_MAX 1) makes the threads
+    that run network passes at once (`model.PASSES_IN_FLIGHT`) reuse one
+    heap's freed buffers, instead of each thread keeping its own heap of
+    them. A C library without mallopt (or a platform where ctypes cannot
+    open the running process) is left alone.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
         return
-    m_trim_threshold, m_mmap_threshold = -1, -3
+    m_trim_threshold, m_mmap_threshold, m_arena_max = -1, -3, -8
     mallopt(m_mmap_threshold, 32 << 20)
     mallopt(m_trim_threshold, 1 << 30)
+    mallopt(m_arena_max, 1)
 
 
 _keep_freed_buffers()

@@ -261,7 +261,8 @@ def cmd_analyze_scatter(args) -> int:
     eval_a = evaluate(model_a, ds, k=args.topk)
     eval_b = evaluate(model_b, ds, k=args.topk)
     result = itp.per_class_scatter(eval_a.per_class, eval_b.per_class)
-    rows = [(c, a, b) for c, (a, b) in enumerate(zip(result.per_class_a, result.per_class_b))]
+    a, b = result.per_class_a, result.per_class_b
+    rows = [*zip(range(len(a)), a, b), ("pearson_r", result.r, "")]
     (out / "class_scatter.csv").write_text(csv_text(("class", "acc_a", "acc_b"), rows))
     print("per-class r =", "degenerate" if result.degenerate else "%.4f" % result.r)
     return EXIT_OK

@@ -26,9 +26,9 @@ from .model import (
     evidence_batch,
     forward_evidence,
     forward_logits,
-    frozen_params,
     pass_images,
     rf_geometry,
+    run_passes,
 )
 from .train import check_topk, topk_hits
 
@@ -156,7 +156,10 @@ class InteractionResult:
     lhs: np.ndarray
     rhs: np.ndarray
     r: Optional[float]
-    degenerate: bool
+
+    @property
+    def degenerate(self) -> bool:
+        return self.r is None
 
     def max_relative_gap(self) -> float:
         denom = np.maximum(1.0, np.abs(self.lhs))
@@ -209,8 +212,7 @@ def interaction_experiment(model: ModelState, dataset: Dataset, p: int,
         raise PreconditionError(f"unknown class_mode {class_mode!r}")
     lhs, rhs = interaction_pairs(lambda b: batch_logits(model, b), images, classes, spec,
                                  pass_images(model.config, dataset.size, dataset.size))
-    r = pearson(lhs, rhs)
-    return InteractionResult(indices, lhs, rhs, r, r is None)
+    return InteractionResult(indices, lhs, rhs, pearson(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -218,23 +220,22 @@ def interaction_experiment(model: ModelState, dataset: Dataset, p: int,
 
 def _class_gradient(model: ModelState, images: np.ndarray, classes) -> np.ndarray:
     """d(class logit of each row) / d(input) of [N,3,H,W] images, with one
-    class per row or one for all rows. Runs in passes of `pass_images` rows,
+    class per row or one for all rows. Runs in the passes of `run_passes`,
     each keeping its own backward graph; eval-mode BN keeps rows
     independent, so row k is image k's gradient whatever pass holds it."""
     if model.mode != "eval":
         raise PreconditionError("attribution requires eval mode")
     classes = np.broadcast_to(classes, len(images))
-    step = pass_images(model.config, *images.shape[2:])
-    grads = []
-    with frozen_params(model):
-        for start in range(0, len(images), step):
-            x = Tensor(images[start:start + step], requires_grad=True)
-            logits = forward_logits(model, x)
-            w = np.zeros(logits.shape, dtype=np.float64)
-            w[np.arange(len(w)), classes[start:start + step]] = 1.0
-            weighted_sum(logits, w).backward()
-            grads.append(x.grad)
-    return np.concatenate(grads)
+
+    def gradient(rows: slice) -> np.ndarray:
+        x = Tensor(images[rows], requires_grad=True)
+        logits = forward_logits(model, x)
+        w = np.zeros(logits.shape, dtype=np.float64)
+        w[np.arange(len(w)), classes[rows]] = 1.0
+        weighted_sum(logits, w).backward()
+        return x.grad
+
+    return run_passes(model, images, gradient)
 
 
 def saliency(model: ModelState, image: np.ndarray, cls: int) -> np.ndarray:
@@ -460,7 +461,10 @@ class ScatterResult:
     per_class_a: np.ndarray
     per_class_b: np.ndarray
     r: Optional[float]
-    degenerate: bool
+
+    @property
+    def degenerate(self) -> bool:
+        return self.r is None
 
 
 def per_class_scatter(per_class_a: np.ndarray, per_class_b: np.ndarray) -> ScatterResult:
@@ -468,8 +472,7 @@ def per_class_scatter(per_class_a: np.ndarray, per_class_b: np.ndarray) -> Scatt
     b = np.asarray(per_class_b, dtype=np.float64)
     if a.shape != b.shape:
         raise PreconditionError("per-class vectors must have identical length")
-    r = pearson(a, b)
-    return ScatterResult(a, b, r, r is None)
+    return ScatterResult(a, b, pearson(a, b))
 
 
 def logit_correlation(logits_a: np.ndarray, logits_b: np.ndarray) -> Optional[float]:

@@ -20,6 +20,8 @@ import contextlib
 import copy
 import functools
 import math
+import threading
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -296,22 +298,27 @@ def build_model(config: BagNetConfig, seed: int) -> ModelState:
 # ---------------------------------------------------------------------------
 # forward passes
 
+_fold_lock = threading.Lock()
+
+
 def _eval_fold(model: ModelState, layer: ConvBN, weight: Tensor, gamma: Tensor,
                beta: Tensor, state: BatchNormState) -> Fold:
     """The layer's eval-mode fold, built once per version of its five source
     arrays. Every writer replaces these arrays rather than writing into
     them, so identity tells versions apart; they are made read-only when a
     fold is built from them, so an in-place write raises ValueError instead
-    of leaving the fold stale."""
+    of leaving the fold stale. Passes that run at once look up and build
+    folds under one lock, so each is built once."""
     sources = (weight.data, gamma.data, beta.data, state.running_mean, state.running_var)
-    cached = model.folds.get(layer.conv)
-    if cached is not None and all(a is b for a, b in zip(cached[0], sources)):
-        return cached[1]
-    for arr in sources:
-        arr.flags.writeable = False
-    fold = fold_affine(weight.data, *state.eval_affine(gamma.data, beta.data))
-    model.folds[layer.conv] = (sources, fold)
-    return fold
+    with _fold_lock:
+        cached = model.folds.get(layer.conv)
+        if cached is not None and all(a is b for a, b in zip(cached[0], sources)):
+            return cached[1]
+        for arr in sources:
+            arr.flags.writeable = False
+        fold = fold_affine(weight.data, *state.eval_affine(gamma.data, beta.data))
+        model.folds[layer.conv] = (sources, fold)
+        return fold
 
 
 def _conv_bn(model: ModelState, layer: ConvBN, x: Tensor) -> Tensor:
@@ -384,22 +391,31 @@ def frozen_params(model: ModelState):
             value.requires_grad = flag
 
 
-# bytes that the largest tensor of a network pass may take: passes of
-# evidence_batch / batch_logits hold this many bytes of their largest
-# per-image im2col matrix or activation, so a pass stays in cache and its
-# memory is bounded whatever the size of the batch. Input-gradient passes
-# (interpret._class_gradient) take as many rows, but each keeps its whole
-# backward graph, measured at about 1.8 MB per bagnet9_32 row at 32 px: far
-# above this budget, yet still bounded whatever the number of rows
+# network passes that run at once, on a pool of as many threads (started by
+# the first batch of more than one pass): numpy's ufuncs, copies and BLAS
+# release the GIL while they work, so the passes of one batch use as many
+# cores
+PASSES_IN_FLIGHT = 2
+_pass_pool = ThreadPoolExecutor(PASSES_IN_FLIGHT, thread_name_prefix="bagnet-pass")
+
+# bytes that the largest tensors of all passes in flight may take together:
+# each pass of evidence_batch / batch_logits holds its share of this many
+# bytes of its largest per-image im2col matrix or activation, so passes stay
+# in cache and memory is bounded whatever the size of the batch. Input-
+# gradient passes (interpret._class_gradient) take as many rows, but each
+# keeps its whole backward graph, measured at about 1.8 MB per bagnet9_32
+# row at 32 px: far above this budget, yet still bounded whatever the
+# number of rows
 PASS_BYTES = 4 << 20
 
 
 @functools.lru_cache(maxsize=32)
 def pass_images(config: BagNetConfig, h: int, w: int) -> int:
-    """Images per network pass over h x w float32 images: PASS_BYTES over
-    the largest per-image im2col matrix or activation of `layer_table`, and
-    at least 1. The im2col of a 1x1 stride-1 unpadded conv is a view of its
-    input, so it takes no memory of its own."""
+    """Images per network pass over h x w float32 images: PASS_BYTES shared
+    by the PASSES_IN_FLIGHT passes, over the largest per-image im2col matrix
+    or activation of `layer_table`, and at least 1. The im2col of a 1x1
+    stride-1 unpadded conv is a view of its input, so it takes no memory of
+    its own."""
     stem, blocks = layer_table(config)
     largest = 3 * h * w
 
@@ -416,22 +432,40 @@ def pass_images(config: BagNetConfig, h: int, w: int) -> int:
         if shortcut is not None:
             conv(shortcut, hw)
         hw = conv(conv3, conv(conv2, conv(conv1, hw)))
-    return max(1, PASS_BYTES // (np.dtype(np.float32).itemsize * largest))
+    return max(1, PASS_BYTES // (PASSES_IN_FLIGHT * np.dtype(np.float32).itemsize * largest))
+
+
+def run_passes(model: ModelState, images: np.ndarray, fn) -> np.ndarray:
+    """Concatenated fn(rows) over the network passes of an [N,3,H,W] batch,
+    under `frozen_params`: the row slices of `pass_images` images, and one
+    empty slice for an empty batch. A batch of one pass runs in the calling
+    thread; more passes run PASSES_IN_FLIGHT at a time on the pass pool.
+    Returns or raises only when every pass it started has ended, and raises
+    the first error in pass order, as one pass after another would. fn must
+    not call run_passes: its passes would queue behind the pool threads
+    that wait for them."""
+    step = pass_images(model.config, *images.shape[2:])
+    passes = [slice(start, start + step) for start in range(0, max(len(images), 1), step)]
+    with frozen_params(model):
+        if len(passes) == 1:
+            return fn(passes[0])
+        futures = [_pass_pool.submit(fn, rows) for rows in passes]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        for future in futures:
+            future.cancel()      # only passes not yet started: a failed batch stops
+        wait(futures)
+    return np.concatenate([future.result() for future in futures])
 
 
 def _chunked(model: ModelState, images, fn) -> np.ndarray:
-    """Concatenated fn(chunk) over eval-mode network passes of `pass_images`
-    images."""
+    """Concatenated fn(chunk) over the eval-mode network passes of
+    `run_passes`."""
     if model.mode != "eval":
         raise ConfigError("evidence and logits require eval mode")
     arr = np.asarray(images, dtype=np.float32)
     if arr.ndim != 4:
         raise ConfigError(f"expected an [N,3,H,W] batch, got shape {arr.shape}")
-    step = pass_images(model.config, *arr.shape[2:])
-    # an empty batch still makes one (empty) pass, so the result has its shape
-    with frozen_params(model):
-        return np.concatenate([fn(Tensor(arr[start:start + step]))
-                               for start in range(0, max(len(arr), 1), step)])
+    return run_passes(model, arr, lambda rows: fn(Tensor(arr[rows])))
 
 
 def evidence_batch(model: ModelState, images) -> np.ndarray:

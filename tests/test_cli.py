@@ -150,6 +150,9 @@ def test_analyze_scatter_and_logitcorr(workdir, tmp_path):
                  "--data", str(workdir / "val.bagd"), "--out", str(tmp_path / "sc")]) == 0
     lines = (tmp_path / "sc" / "class_scatter.csv").read_text().strip().split("\n")
     assert lines[0] == "class,acc_a,acc_b"
+    # one row per class, then the summary row: one model twice, so r = 1
+    assert [line.split(",")[0] for line in lines[1:-1]] == ["0", "1"]
+    assert lines[-1] == "pearson_r,1,"
     assert main(["analyze", "logitcorr", "--checkpoint-a", ck, "--checkpoint-b", ck,
                  "--data", str(workdir / "val.bagd"), "--out", str(tmp_path / "lc")]) == 0
     text = (tmp_path / "lc" / "logitcorr.csv").read_text()

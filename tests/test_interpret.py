@@ -2,9 +2,14 @@
 modifications, attribution correctness, thresholding, scrambling,
 correlations, heatmap and patch export."""
 
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from bagnet.autodiff import NumericalError
 from bagnet.data import Dataset, synth_texture_dataset
 from bagnet.model import (
     SHIPPED_CONFIGS,
@@ -261,7 +266,7 @@ class TestMaskingSensitivity:
                                 p=8, n_max=2, limit=2)
 
     @pytest.mark.parametrize("config,p,n_max", [("bagnet5_32", 8, 8), ("bagnet9_32", 8, 8),
-                                                ("bagnet17_64", 16, 7), ("bagnet3_33", 11, 5)])
+                                                ("bagnet17_64", 16, 6), ("bagnet3_33", 11, 5)])
     def test_equals_one_pass_per_trajectory_bit_for_bit(self, config, p, n_max):
         """Every source's per_image and mean_prob equal those of the per-image,
         per-source loop, on images enough that a pass holds rows of two."""
@@ -558,16 +563,28 @@ class TestOneBatchedPath:
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        """Batch size of every network pass."""
+        """Batch size of every network pass. The passes of one `run_passes`
+        call may run at once and end in any order, so each call's sizes are
+        kept in descending order, the order of `_chunks`."""
+        import bagnet.interpret as bi
         import bagnet.model as bm
         sizes = []
-        original = bm.forward_features
+        original, run = bm.forward_features, bm.run_passes
 
         def counting(model, x, stem_pad=None):
             sizes.append(x.shape[0])
             return original(model, x, stem_pad=stem_pad)
 
+        def sorting(*args):
+            start = len(sizes)
+            try:
+                return run(*args)
+            finally:
+                sizes[start:] = sorted(sizes[start:], reverse=True)
+
         monkeypatch.setattr(bm, "forward_features", counting)
+        for module in (bm, bi):
+            monkeypatch.setattr(module, "run_passes", sorting)
         return sizes
 
     def test_top_patches_is_one_pass(self, random_model, texture_batch, passes):
@@ -635,6 +652,83 @@ class TestOneBatchedPath:
         grads = _class_gradient(model, imgs, classes)
         for img, cls, grad in zip(imgs, classes, grads):
             assert np.array_equal(grad, _class_gradient(model, img[None], cls)[0])
+
+    @pytest.mark.parametrize("config", sorted(SHIPPED_CONFIGS))
+    def test_concurrent_passes_equal_one_pass_at_a_time_bit_for_bit(self, config, monkeypatch):
+        """On the pass pool, and on a pool of more threads than cores with a
+        short switch interval, each run building the eval folds afresh from
+        inside its passes, each fold once."""
+        import bagnet.model as bm
+        from bagnet.interpret import _class_gradient
+        built = []
+        fold_affine = bm.fold_affine
+        monkeypatch.setattr(bm, "fold_affine", lambda *args: built.append(args) or
+                            fold_affine(*args))
+        model = build_model(SHIPPED_CONFIGS[config](), seed=4)
+        size = model.config.input_size
+        rows = 3 * pass_images(model.config, size, size) + 1
+        imgs = np.random.default_rng(8).standard_normal((rows, 3, size, size)).astype(np.float32)
+        classes = np.arange(rows) % model.config.num_classes
+        stressed, serial = ThreadPoolExecutor(4), ThreadPoolExecutor(1)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for pool in (bm._pass_pool, stressed, serial):
+                monkeypatch.setattr(bm, "_pass_pool", pool)
+                model.folds.clear()
+                built.clear()
+                runs.append((batch_logits(model, imgs), evidence_batch(model, imgs),
+                             _class_gradient(model, imgs, classes)))
+                assert len(built) == len(model.bn)
+        finally:
+            sys.setswitchinterval(interval)
+            stressed.shutdown()
+            serial.shutdown()
+        for run in runs[:2]:
+            for got, want in zip(run, runs[2]):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("config", sorted(SHIPPED_CONFIGS))
+    def test_an_error_in_the_third_pass_is_raised_after_every_pass_ends(self, config,
+                                                                        monkeypatch):
+        """The same layer-named error as one pass at a time; every pass is
+        slowed, so a pass left running beside the failed one would show."""
+        import bagnet.model as bm
+        from bagnet.interpret import _class_gradient
+        model = build_model(SHIPPED_CONFIGS[config](), seed=4)
+        size = model.config.input_size
+        per_pass = pass_images(model.config, size, size)
+        imgs = np.random.default_rng(8).standard_normal(
+            (3 * per_pass + 1, 3, size, size)).astype(np.float32)
+        imgs[2 * per_pass] = 3e38                  # finite, but overflows the stem
+        running = []
+        original = bm.forward_features
+
+        def slow(model, x, stem_pad=None):
+            running.append(x)
+            try:
+                time.sleep(0.02)
+                return original(model, x, stem_pad=stem_pad)
+            finally:
+                running.remove(x)
+
+        def errors() -> list[str]:
+            texts = []
+            for call in (batch_logits, evidence_batch,
+                         lambda m, x: _class_gradient(m, x, 0)):
+                with pytest.raises(NumericalError) as err:
+                    call(model, imgs)
+                assert running == []
+                texts.append(str(err.value))
+            return texts
+
+        monkeypatch.setattr(bm, "forward_features", slow)
+        concurrent = errors()
+        assert all(text.startswith("stem.conv/bn: ") for text in concurrent)
+        with ThreadPoolExecutor(1) as serial:
+            monkeypatch.setattr(bm, "_pass_pool", serial)
+            assert errors() == concurrent
 
     @pytest.mark.parametrize("sources,named", [
         (["bagnet", "mystery"], "unknown ranking source 'mystery'"),
