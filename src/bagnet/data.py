@@ -164,6 +164,10 @@ def convert_cifar10(batch_paths) -> Dataset:
         if len(blob) == 0 or len(blob) % record != 0:
             raise TruncatedPayloadError(f"{path}: not a whole number of {record}-byte records")
         arr = np.frombuffer(blob, dtype=np.uint8).reshape(-1, record)
+        bad = np.flatnonzero(arr[:, 0] >= len(CIFAR10_NAMES))
+        if bad.size:
+            raise LabelRangeError(f"{path}: label {arr[bad[0], 0]} of record {bad[0]} at offset "
+                                  f"{bad[0] * record} out of range [0,{len(CIFAR10_NAMES)})")
         labels.append(arr[:, 0].copy())
         images.append(arr[:, 1:].reshape(-1, 3, 32, 32).copy())
     return Dataset(np.concatenate(images), np.concatenate(labels), list(CIFAR10_NAMES))

@@ -26,7 +26,6 @@ from .model import (
     evidence_batch,
     forward_evidence,
     forward_logits,
-    pass_images,
     rf_geometry,
     run_passes,
 )
@@ -166,29 +165,29 @@ class InteractionResult:
         return float(np.max(np.abs(self.lhs - self.rhs) / denom))
 
 
-def interaction_pairs(logit_fn: Callable[[np.ndarray], np.ndarray],
+def interaction_pairs(logits_of: Callable[[int, Callable[[slice], np.ndarray]], np.ndarray],
                       images: np.ndarray, classes: np.ndarray,
-                      spec: MaskSpec, per_pass: int) -> tuple[np.ndarray, np.ndarray]:
+                      spec: MaskSpec) -> tuple[np.ndarray, np.ndarray]:
     """For each image: lhs = l(x) - l(x + sum_i d_i) with all patches masked
-    jointly; rhs = sum_i (l(x) - l(x + d_i)) one patch at a time. `logit_fn`
-    maps an image batch to [N, K] logits; it is called on the variants of
-    whole images, at most `per_pass` rows at a time (the images of one
-    network pass) unless one image has more, so memory stays bounded
-    whatever the number of images. The tracked class is per image."""
+    jointly; rhs = sum_i (l(x) - l(x + d_i)) one patch at a time. Each image,
+    masked once, has 2 + cells rows: x, the joint row, one per patch. The
+    [n, K] logits of all n rows are `logits_of(n, build)`, `build(rows)`
+    making the images of a row slice. The tracked class is per image."""
     classes = np.asarray(classes, dtype=np.int64)
     rows = 2 + len(selected_cells(spec, *np.shape(images)[2:]))   # x, joint, then singles
-    group = max(1, per_pass // rows)
-    tracked = []
-    for start in range(0, len(images), group):
+    masks = [apply_mask(img, spec) for img in images]
+
+    def build(sl: slice) -> np.ndarray:
         variants = []
-        for img in images[start:start + group]:
-            masked, deltas = apply_mask(img, spec)
-            variants += [img, masked] + [add_delta(img, d) for d in deltas]
-        logits = np.asarray(logit_fn(np.stack(variants)), dtype=np.float64)
-        per_image = logits.reshape(-1, rows, logits.shape[1])
-        cls = classes[start:start + group]
-        tracked.append(per_image[np.arange(len(cls)), :, cls])   # [images, rows]
-    tracked = np.concatenate(tracked)
+        for r in range(sl.start, sl.stop):
+            image, row = divmod(r, rows)
+            masked, deltas = masks[image]
+            variants.append(images[image] if row == 0 else masked if row == 1
+                            else add_delta(images[image], deltas[row - 2]))
+        return np.stack(variants)
+
+    logits = np.asarray(logits_of(len(images) * rows, build), dtype=np.float64)
+    tracked = logits.reshape(len(images), rows, -1)[np.arange(len(images)), :, classes]
     return tracked[:, 0] - tracked[:, 1], np.sum(tracked[:, :1] - tracked[:, 2:], axis=1)
 
 
@@ -210,8 +209,9 @@ def interaction_experiment(model: ModelState, dataset: Dataset, p: int,
         classes = np.argmax(batch_logits(model, images), axis=1)
     else:
         raise PreconditionError(f"unknown class_mode {class_mode!r}")
-    lhs, rhs = interaction_pairs(lambda b: batch_logits(model, b), images, classes, spec,
-                                 pass_images(model.config, dataset.size, dataset.size))
+    lhs, rhs = interaction_pairs(lambda rows, build: run_passes(
+        model, rows, images.shape[2:], lambda sl: forward_logits(model, Tensor(build(sl))).data),
+        images, classes, spec)
     return InteractionResult(indices, lhs, rhs, pearson(lhs, rhs))
 
 
@@ -223,8 +223,6 @@ def _class_gradient(model: ModelState, images: np.ndarray, classes) -> np.ndarra
     class per row or one for all rows. Runs in the passes of `run_passes`,
     each keeping its own backward graph; eval-mode BN keeps rows
     independent, so row k is image k's gradient whatever pass holds it."""
-    if model.mode != "eval":
-        raise PreconditionError("attribution requires eval mode")
     classes = np.broadcast_to(classes, len(images))
 
     def gradient(rows: slice) -> np.ndarray:
@@ -235,7 +233,7 @@ def _class_gradient(model: ModelState, images: np.ndarray, classes) -> np.ndarra
         weighted_sum(logits, w).backward()
         return x.grad
 
-    return run_passes(model, images, gradient)
+    return run_passes(model, len(images), images.shape[2:], gradient)
 
 
 def saliency(model: ModelState, image: np.ndarray, cls: int) -> np.ndarray:
@@ -325,9 +323,9 @@ def masking_sensitivity(model: ModelState, sources: Sequence[str], dataset: Data
 
     Cell scores are one [images, trajectories, cells] array; saliency's come
     from one `_class_gradient` call over all images. The masked rows of every
-    trajectory go to `batch_logits` in passes of `pass_images` rows. Gradient
-    passes hold as many rows, each with its graph (measured: about 1.8 MB per
-    bagnet9_32 row). The numbers are those of one pass per trajectory.
+    trajectory are one `run_passes` call, each pass building its own rows
+    from the ranks and the cell means, so only the passes in flight hold
+    rows. The numbers are those of one pass per trajectory.
     """
     check_sources(sources)
     if "random" in sources and random_draws < 1:
@@ -361,16 +359,14 @@ def masking_sensitivity(model: ModelState, sources: Sequence[str], dataset: Data
 
     fills = cell_means(images, p)[:, :, :, None, :, None]
     shape = (*scores.shape[:2], len(ns))            # a row per image, trajectory and n
-    rows = np.arange(np.prod(shape))
-    per_pass = pass_images(model.config, size, size)
-    logits = []
-    for start in range(0, len(rows), per_pass):
-        img, traj, n = np.unravel_index(rows[start:start + per_pass], shape)
+
+    def masked_logits(rows: slice) -> np.ndarray:
+        img, traj, n = np.unravel_index(np.arange(rows.start, rows.stop), shape)
         masked = (ranks[img, traj] < n[:, None]).reshape(-1, 1, gh, 1, gw, 1)
-        pixels = images[img]
-        filled = np.where(masked, fills[img], pixels.reshape(-1, 3, gh, p, gw, p))
-        logits.append(batch_logits(model, filled.reshape(pixels.shape)))
-    logits = np.concatenate(logits).reshape(*shape, -1)
+        filled = np.where(masked, fills[img], images[img].reshape(-1, 3, gh, p, gw, p))
+        return forward_logits(model, Tensor(filled.reshape(-1, 3, size, size))).data
+
+    logits = run_passes(model, np.prod(shape), (size, size), masked_logits).reshape(*shape, -1)
     probs = softmax(logits, axis=3)[np.arange(n_imgs), :, :, leading]   # [images, traj, n]
     counts = [random_draws if source == "random" else 1 for source in sources]
     per_image = [t.mean(axis=1) for t in np.split(probs, np.cumsum(counts)[:-1], axis=1)]

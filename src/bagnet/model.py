@@ -399,13 +399,13 @@ PASSES_IN_FLIGHT = 2
 _pass_pool = ThreadPoolExecutor(PASSES_IN_FLIGHT, thread_name_prefix="bagnet-pass")
 
 # bytes that the largest tensors of all passes in flight may take together:
-# each pass of evidence_batch / batch_logits holds its share of this many
-# bytes of its largest per-image im2col matrix or activation, so passes stay
-# in cache and memory is bounded whatever the size of the batch. Input-
-# gradient passes (interpret._class_gradient) take as many rows, but each
-# keeps its whole backward graph, measured at about 1.8 MB per bagnet9_32
-# row at 32 px: far above this budget, yet still bounded whatever the
-# number of rows
+# each pass of run_passes (_chunked's evidence and logit passes, and the
+# masked rows of interpret's sensitivity and interaction) holds its share of
+# this many bytes of its largest per-image im2col matrix or activation, so
+# passes stay in cache and memory is bounded whatever the number of rows.
+# Input-gradient passes (interpret._class_gradient) take as many rows, but
+# each keeps its whole backward graph, about 1.8 MB per bagnet9_32 row at
+# 32 px: far above this budget, yet still bounded whatever the number of rows
 PASS_BYTES = 4 << 20
 
 
@@ -435,17 +435,20 @@ def pass_images(config: BagNetConfig, h: int, w: int) -> int:
     return max(1, PASS_BYTES // (PASSES_IN_FLIGHT * np.dtype(np.float32).itemsize * largest))
 
 
-def run_passes(model: ModelState, images: np.ndarray, fn) -> np.ndarray:
-    """Concatenated fn(rows) over the network passes of an [N,3,H,W] batch,
-    under `frozen_params`: the row slices of `pass_images` images, and one
-    empty slice for an empty batch. A batch of one pass runs in the calling
-    thread; more passes run PASSES_IN_FLIGHT at a time on the pass pool.
-    Returns or raises only when every pass it started has ended, and raises
-    the first error in pass order, as one pass after another would. fn must
-    not call run_passes: its passes would queue behind the pool threads
-    that wait for them."""
-    step = pass_images(model.config, *images.shape[2:])
-    passes = [slice(start, start + step) for start in range(0, max(len(images), 1), step)]
+def run_passes(model: ModelState, n: int, hw: tuple[int, int], fn) -> np.ndarray:
+    """Concatenated fn(rows) over the passes of n rows of h x w images, under
+    `frozen_params`: slices of `pass_images` rows (one empty slice for n = 0),
+    for fn to build and run. The one pass loop and eval-mode check: of
+    `_chunked` (evidence_batch, batch_logits, patch_oracle_evidence) and of
+    interpret's `_class_gradient`, `masking_sensitivity` and
+    `interaction_experiment`. One pass runs in the calling thread; more run
+    PASSES_IN_FLIGHT at a time on the pass pool. Returns or raises when every
+    pass it started has ended, with the first error in pass order. fn must not
+    call run_passes: its passes would queue behind the pool threads."""
+    if model.mode != "eval":
+        raise ConfigError("network passes require eval mode")
+    step = pass_images(model.config, *hw)
+    passes = [slice(start, min(start + step, n)) for start in range(0, max(n, 1), step)]
     with frozen_params(model):
         if len(passes) == 1:
             return fn(passes[0])
@@ -458,14 +461,11 @@ def run_passes(model: ModelState, images: np.ndarray, fn) -> np.ndarray:
 
 
 def _chunked(model: ModelState, images, fn) -> np.ndarray:
-    """Concatenated fn(chunk) over the eval-mode network passes of
-    `run_passes`."""
-    if model.mode != "eval":
-        raise ConfigError("evidence and logits require eval mode")
+    """Concatenated fn(chunk) over the network passes of an [N,3,H,W] batch."""
     arr = np.asarray(images, dtype=np.float32)
     if arr.ndim != 4:
         raise ConfigError(f"expected an [N,3,H,W] batch, got shape {arr.shape}")
-    return run_passes(model, arr, lambda rows: fn(Tensor(arr[rows])))
+    return run_passes(model, len(arr), arr.shape[2:], lambda rows: fn(Tensor(arr[rows])))
 
 
 def evidence_batch(model: ModelState, images) -> np.ndarray:

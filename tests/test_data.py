@@ -129,6 +129,21 @@ class TestContainer:
         # planar RGB row-major layout preserved byte for byte
         assert ds.images[0].tobytes() == records[0][1:]
 
+    def test_cifar10_label_out_of_range_names_the_record_and_offset(self, tmp_path, capsys):
+        from bagnet.cli import main
+        good = tmp_path / "data_batch_1.bin"
+        bad = tmp_path / "data_batch_2.bin"
+        good.write_bytes(bytes([9]) + bytes(3072))
+        bad.write_bytes(b"".join(bytes([lab]) + bytes(3072) for lab in (3, 12, 1)))
+        with pytest.raises(LabelRangeError) as exc:
+            convert_cifar10([good, bad])
+        assert str(exc.value) == f"{bad}: label 12 of record 1 at offset 3073 out of range [0,10)"
+        out = tmp_path / "out" / "cifar.bagd"
+        out.parent.mkdir()
+        assert main(["dataset", "convert", "--out", str(out), str(good), str(bad)]) == 3
+        assert "at offset 3073" in capsys.readouterr().err
+        assert list(out.parent.iterdir()) == []
+
     def test_cifar10_partial_record_rejected(self, tmp_path):
         p = tmp_path / "bad.bin"
         p.write_bytes(bytes(3072))  # one byte short of a record

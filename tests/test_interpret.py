@@ -15,6 +15,7 @@ from bagnet.model import (
     SHIPPED_CONFIGS,
     BagNetConfig,
     BlockSpec,
+    ConfigError,
     aggregate_then_classify,
     bagnet3_33,
     bagnet9_32,
@@ -136,8 +137,8 @@ class TestInteraction:
 
         rng = np.random.default_rng(3)
         images = rng.uniform(0.5, 1.5, size=(6, 3, 32, 32)).astype(np.float32)
-        lhs, rhs = interaction_pairs(logit_fn, images, np.zeros(6, dtype=int),
-                                     MaskSpec(p=8), per_pass=8)
+        lhs, rhs = interaction_pairs(lambda n, build: logit_fn(build(slice(0, n))), images,
+                                     np.zeros(6, dtype=int), MaskSpec(p=8))
         assert lhs.min() > 0.01
         np.testing.assert_allclose(rhs, 2.0 * lhs, rtol=1e-9)
 
@@ -146,8 +147,8 @@ class TestInteraction:
             return np.zeros((len(batch), 1))
 
         images = np.zeros((4, 3, 16, 16), dtype=np.float32)
-        lhs, rhs = interaction_pairs(logit_fn, images, np.zeros(4, dtype=int),
-                                     MaskSpec(p=8), per_pass=8)
+        lhs, rhs = interaction_pairs(lambda n, build: logit_fn(build(slice(0, n))), images,
+                                     np.zeros(4, dtype=int), MaskSpec(p=8))
         assert pearson(lhs, rhs) is None
 
 
@@ -538,6 +539,53 @@ def test_limit_selecting_no_images_is_refused(random_model, texture_batch, run):
         run(random_model, texture_batch)
 
 
+@pytest.mark.parametrize("run", [
+    lambda m, d, x: evidence_batch(m, x),
+    lambda m, d, x: batch_logits(m, x),
+    lambda m, d, x: saliency(m, x[0], 0),
+    lambda m, d, x: integrated_gradients(m, x[0], 0, steps=8),
+    lambda m, d, x: masking_sensitivity(m, ["bagnet", "saliency", "ig", "random"], d, p=8,
+                                        n_max=2, limit=2),
+    lambda m, d, x: interaction_experiment(m, d, p=8, limit=2, class_mode="label"),
+], ids=["evidence_batch", "batch_logits", "saliency", "integrated_gradients",
+        "masking_sensitivity", "interaction_experiment"])
+def test_train_mode_model_is_refused_before_any_pass(texture_batch, monkeypatch, run):
+    """ConfigError (exit 4 from the CLI) before any forward pass, so no
+    batch-norm running statistic moves."""
+    import bagnet.model as bm
+    model = build_model(bagnet9_32(), seed=8).train_mode()
+    stats = {name: (s.running_mean.tobytes(), s.running_var.tobytes())
+             for name, s in model.bn.items()}
+    calls = []
+    original = bm.forward_features
+    monkeypatch.setattr(bm, "forward_features",
+                        lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    with pytest.raises(ConfigError, match="eval mode"):
+        run(model, texture_batch, norm_images(model, texture_batch, [0, 1]))
+    assert calls == []
+    assert {name: (s.running_mean.tobytes(), s.running_var.tobytes())
+            for name, s in model.bn.items()} == stats
+
+
+def _on_each_pool(monkeypatch, run) -> list:
+    """run() with the passes on the pass pool, on a pool of more threads
+    than cores and on one thread, all with a short switch interval."""
+    import bagnet.model as bm
+    stressed, serial = ThreadPoolExecutor(4), ThreadPoolExecutor(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = []
+        for pool in (bm._pass_pool, stressed, serial):
+            monkeypatch.setattr(bm, "_pass_pool", pool)
+            runs.append(run())
+        return runs
+    finally:
+        sys.setswitchinterval(interval)
+        stressed.shutdown()
+        serial.shutdown()
+
+
 def _chunks(rows: int, per_pass: int) -> list[int]:
     """Pass sizes of `rows` images split into passes of `per_pass`."""
     return [min(per_pass, rows - start) for start in range(0, rows, per_pass)]
@@ -603,8 +651,7 @@ class TestOneBatchedPath:
                                                           passes):
         n, cells = texture_batch.count, 4          # alternate cells of the 4x4 p=8 grid
         interaction_experiment(random_model, texture_batch, p=8)
-        group = pass_images(random_model.config, 32, 32) // (2 + cells)
-        assert passes == [(2 + cells) * c for c in _chunks(n, group)]
+        assert passes == _chunks(n * (2 + cells), pass_images(random_model.config, 32, 32))
 
     @pytest.mark.parametrize("n_max,draws", [(8, 4), (2, 1), (16, 3)])
     def test_sensitivity_trajectories_are_pass_sized_chunks(self, random_model, texture_batch,
@@ -619,21 +666,17 @@ class TestOneBatchedPath:
         assert passes == _chunks(n, per_pass) + _chunks(n * draws * (n_max + 1), per_pass)
 
     def test_sensitivity_logits_calls_span_sources_and_images(self, random_model, texture_batch,
-                                                              monkeypatch):
-        import bagnet.interpret as bi
-        calls = []
-        original = bi.batch_logits
-
-        def recording(model, images):
-            calls.append(len(images))
-            return original(model, images)
-
-        monkeypatch.setattr(bi, "batch_logits", recording)
-        n, n_max = 4, 8
+                                                              passes):
+        """The passes of the unmasked images, of each source's scores (an
+        evidence pass per image for bagnet, one gradient call for saliency, an
+        IG path per image), then the trajectory rows of every source and
+        image in one run of `pass_images`-row passes."""
+        n, n_max, steps = 4, 8, 32
         masking_sensitivity(random_model, ["bagnet", "saliency", "ig", "random"], texture_batch,
-                            p=8, n_max=n_max, limit=n)
+                            p=8, n_max=n_max, limit=n, ig_steps=steps)
         per_pass = pass_images(random_model.config, 32, 32)
-        assert calls == [n] + _chunks(n * 7 * (n_max + 1), per_pass)
+        assert passes == (_chunks(n, per_pass) + [1] * n + _chunks(n, per_pass)
+                          + n * _chunks(steps, per_pass) + _chunks(n * 7 * (n_max + 1), per_pass))
 
     def test_integrated_gradients_runs_in_pass_sized_chunks(self, random_model, passes):
         img = np.random.default_rng(7).standard_normal((3, 32, 32)).astype(np.float32)
@@ -669,22 +712,34 @@ class TestOneBatchedPath:
         rows = 3 * pass_images(model.config, size, size) + 1
         imgs = np.random.default_rng(8).standard_normal((rows, 3, size, size)).astype(np.float32)
         classes = np.arange(rows) % model.config.num_classes
-        stressed, serial = ThreadPoolExecutor(4), ThreadPoolExecutor(1)
-        runs = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for pool in (bm._pass_pool, stressed, serial):
-                monkeypatch.setattr(bm, "_pass_pool", pool)
-                model.folds.clear()
-                built.clear()
-                runs.append((batch_logits(model, imgs), evidence_batch(model, imgs),
-                             _class_gradient(model, imgs, classes)))
-                assert len(built) == len(model.bn)
-        finally:
-            sys.setswitchinterval(interval)
-            stressed.shutdown()
-            serial.shutdown()
+
+        def run():
+            model.folds.clear()
+            built.clear()
+            outputs = (batch_logits(model, imgs), evidence_batch(model, imgs),
+                       _class_gradient(model, imgs, classes))
+            assert len(built) == len(model.bn)
+            return outputs
+
+        runs = _on_each_pool(monkeypatch, run)
+        for run in runs[:2]:
+            for got, want in zip(run, runs[2]):
+                assert np.array_equal(got, want)
+
+    def test_masked_rows_equal_on_any_pool_bit_for_bit(self, random_model, texture_batch,
+                                                       monkeypatch):
+        """Masking sensitivity with all four sources and interaction at p = 8
+        and 4 build their rows inside the passes; each run spans several."""
+        def run():
+            curves = masking_sensitivity(random_model, ["bagnet", "saliency", "ig", "random"],
+                                         texture_batch, p=8, n_max=4, limit=6, ig_steps=16)
+            outputs = [a for c in curves.values() for a in (c.per_image, c.mean_prob)]
+            for p in (8, 4):
+                result = interaction_experiment(random_model, texture_batch, p=p)
+                outputs += [result.lhs, result.rhs]
+            return outputs
+
+        runs = _on_each_pool(monkeypatch, run)
         for run in runs[:2]:
             for got, want in zip(run, runs[2]):
                 assert np.array_equal(got, want)
@@ -743,26 +798,24 @@ class TestOneBatchedPath:
         assert passes == []
 
     @pytest.mark.parametrize("p,cells", [(8, 4), (4, 16), (1, 256)])
-    def test_interaction_logit_fn_gets_bounded_groups_of_whole_images(self, texture_batch,
+    def test_interaction_rows_in_any_passes_equal_one_call_per_image(self, texture_batch,
                                                                       p, cells):
-        """interaction_pairs hands logit_fn the variants of whole images, never
-        more than per_pass rows unless one image alone has more; lhs and rhs
-        are those of one call per image."""
+        """interaction_pairs asks for 2 + cells rows per image; built in
+        37-row slices that cut across images, lhs and rhs are those of one
+        call per image."""
         images = texture_batch.images.astype(np.float32) / 255.0
         classes = texture_batch.labels.astype(np.int64) % 3
         spec = MaskSpec(p=p)
-        calls = []
+        asked = []
 
-        def logit_fn(batch):     # [N,3,H,W] -> [N,3]: the channel means
-            calls.append(len(batch))
-            return batch.reshape(len(batch), 3, -1).mean(axis=2)
+        def channel_means(n, build):     # [n,3,H,W] rows -> [n,3]: the channel means
+            asked.append(n)
+            batch = np.concatenate([build(slice(s, min(s + 37, n))) for s in range(0, n, 37)])
+            return batch.reshape(n, 3, -1).mean(axis=2)
 
-        per_pass = 37
-        lhs, rhs = interaction_pairs(logit_fn, images, classes, spec, per_pass)
-        assert sum(calls) == len(images) * (2 + cells)
-        assert max(calls) <= max(per_pass, 2 + cells)
-        assert all(c % (2 + cells) == 0 for c in calls)
-        single = [interaction_pairs(logit_fn, images[i:i + 1], classes[i:i + 1], spec, per_pass)
+        lhs, rhs = interaction_pairs(channel_means, images, classes, spec)
+        assert asked == [len(images) * (2 + cells)]
+        single = [interaction_pairs(channel_means, images[i:i + 1], classes[i:i + 1], spec)
                   for i in range(len(images))]
         assert np.array_equal(lhs, np.concatenate([l for l, _ in single]))
         assert np.array_equal(rhs, np.concatenate([r for _, r in single]))
