@@ -14,7 +14,7 @@ from bagnet.model import (
     build_model,
     certify_receptive_field,
     paper_scale,
-    receptive_field,
+    rf_geometry,
     with_declared_q,
 )
 
@@ -23,13 +23,13 @@ def main():
     print("== shipped desk configurations ==")
     for name, fn in SHIPPED_CONFIGS.items():
         cfg = fn()
-        rf, stride = receptive_field(cfg)
+        rf, stride, _ = rf_geometry(cfg)
         print(f"  {name:12s} q={cfg.q:<3d} computed rf={rf:<3d} heatmap stride={stride}")
 
     print("== full-scale variants ==")
     for q in (9, 17, 33):
         cfg = paper_scale(q)
-        rf, stride = receptive_field(cfg)
+        rf, stride, _ = rf_geometry(cfg)
         print(f"  {cfg.name:15s} rf={rf:<3d} stride={stride} feature_dim={cfg.feature_dim}")
 
     print("== empirical certificate (bagnet9_32, random weights) ==")

@@ -47,7 +47,6 @@ from .model import (
     image_logits,
     paper_scale,
     patch_oracle_evidence,
-    receptive_field,
 )
 from .train import (
     Checkpoint,
@@ -65,9 +64,7 @@ from .interpret import (
     apply_mask,
     integrated_gradients,
     interaction_experiment,
-    logit_correlation,
     masking_sensitivity,
-    per_class_scatter,
     saliency,
     scramble_test,
     threshold_sweep,

@@ -144,6 +144,9 @@ def cmd_dataset_inspect(args) -> int:
 def cmd_train(args) -> int:
     train_set = load_dataset(args.data, split="train")
     val_set = load_dataset(args.val, split="val") if args.val else train_set
+    if val_set.num_classes != train_set.num_classes:
+        raise itp.PreconditionError(f"{args.val} has {val_set.num_classes} classes "
+                                    f"but {args.data} has {train_set.num_classes}")
     config = SHIPPED_CONFIGS[args.config](num_classes=train_set.num_classes)
     tc = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr0=args.lr0,
                      momentum=args.momentum, decay_factor=args.decay_factor,
@@ -260,11 +263,11 @@ def cmd_analyze_scatter(args) -> int:
                                                  args.checkpoint_a, args.checkpoint_b)
     eval_a = evaluate(model_a, ds, k=args.topk)
     eval_b = evaluate(model_b, ds, k=args.topk)
-    result = itp.per_class_scatter(eval_a.per_class, eval_b.per_class)
-    a, b = result.per_class_a, result.per_class_b
-    rows = [*zip(range(len(a)), a, b), ("pearson_r", result.r, "")]
+    a, b = eval_a.per_class, eval_b.per_class
+    r = itp.pearson(a, b)
+    rows = [*zip(range(len(a)), a, b), ("pearson_r", r, "")]
     (out / "class_scatter.csv").write_text(csv_text(("class", "acc_a", "acc_b"), rows))
-    print("per-class r =", "degenerate" if result.degenerate else "%.4f" % result.r)
+    print("per-class r =", "degenerate" if r is None else "%.4f" % r)
     return EXIT_OK
 
 
@@ -273,7 +276,7 @@ def cmd_analyze_logitcorr(args) -> int:
                                                  args.checkpoint_a, args.checkpoint_b)
     eval_a = evaluate(model_a, ds, k=1)
     eval_b = evaluate(model_b, ds, k=1)
-    r = itp.logit_correlation(eval_a.logits, eval_b.logits)
+    r = itp.pearson(eval_a.logits.ravel(), eval_b.logits.ravel())
     (out / "logitcorr.csv").write_text(csv_text(("metric", "value"), [("pearson_r", r)]))
     print("logit correlation:", "degenerate" if r is None else "%.4f" % r)
     return EXIT_OK
@@ -291,6 +294,13 @@ def _class_or_pred(text: str):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a class index or 'pred', got {text!r}") from None
+
+
+def _seed(text: str) -> int:
+    """A non-negative integer (`--seed`): numpy refuses a negative seed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _float_list(text: str) -> list[float]:
@@ -325,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", type=int, dest="per_class", default=2000)
     p.add_argument("--size", type=int, default=32)
     p.add_argument("--texture-scale", type=int, dest="texture_scale", default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_dataset_synth)
     p = ds.add_parser("convert")
     p.add_argument("--out", required=True)
@@ -340,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--val")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--batch-size", type=int, dest="batch_size", default=64)
     p.add_argument("--lr0", type=float, default=0.01)
@@ -372,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--limit", type=int, default=None, metavar="N",
                            help="analyse the first N images (default: all)")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
 
     p = an.add_parser("heatmap")
     common(p)
@@ -419,7 +429,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataFormatError, CheckpointFormatError, FileNotFoundError) as exc:
+    except (DataFormatError, CheckpointFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (itp.PreconditionError, ConfigError, ValueError) as exc:

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, softmax, weighted_sum
+from .autodiff import softmax
 from .data import Dataset, STREAM_ANALYSIS, csv_text, normalize_images, seed_stream
 from .model import (
     EvidenceMap,
@@ -25,9 +25,9 @@ from .model import (
     batch_logits,
     evidence_batch,
     forward_evidence,
-    forward_logits,
+    input_gradients,
     rf_geometry,
-    run_passes,
+    row_logits,
 )
 from .train import check_topk, topk_hits
 
@@ -209,36 +209,17 @@ def interaction_experiment(model: ModelState, dataset: Dataset, p: int,
         classes = np.argmax(batch_logits(model, images), axis=1)
     else:
         raise PreconditionError(f"unknown class_mode {class_mode!r}")
-    lhs, rhs = interaction_pairs(lambda rows, build: run_passes(
-        model, rows, images.shape[2:], lambda sl: forward_logits(model, Tensor(build(sl))).data),
-        images, classes, spec)
+    lhs, rhs = interaction_pairs(lambda n, build: row_logits(model, n, images.shape[2:], build),
+                                 images, classes, spec)
     return InteractionResult(indices, lhs, rhs, pearson(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
 # attribution baselines
 
-def _class_gradient(model: ModelState, images: np.ndarray, classes) -> np.ndarray:
-    """d(class logit of each row) / d(input) of [N,3,H,W] images, with one
-    class per row or one for all rows. Runs in the passes of `run_passes`,
-    each keeping its own backward graph; eval-mode BN keeps rows
-    independent, so row k is image k's gradient whatever pass holds it."""
-    classes = np.broadcast_to(classes, len(images))
-
-    def gradient(rows: slice) -> np.ndarray:
-        x = Tensor(images[rows], requires_grad=True)
-        logits = forward_logits(model, x)
-        w = np.zeros(logits.shape, dtype=np.float64)
-        w[np.arange(len(w)), classes[rows]] = 1.0
-        weighted_sum(logits, w).backward()
-        return x.grad
-
-    return run_passes(model, len(images), images.shape[2:], gradient)
-
-
 def saliency(model: ModelState, image: np.ndarray, cls: int) -> np.ndarray:
     """|d logit_cls / d pixel| summed over channels -> [H, W]."""
-    g = _class_gradient(model, np.asarray(image, dtype=np.float32)[None], cls)[0]
+    g = input_gradients(model, np.asarray(image, dtype=np.float32)[None], cls)[0]
     return np.abs(g).sum(axis=0)
 
 
@@ -251,7 +232,7 @@ def integrated_gradients(model: ModelState, image: np.ndarray, cls: int,
     img = np.asarray(image, dtype=np.float32)
     alphas = (np.arange(steps, dtype=np.float64) + 0.5) / steps
     path = alphas[:, None, None, None].astype(np.float32) * img[None]
-    grads = _class_gradient(model, path, cls)
+    grads = input_gradients(model, path, cls)
     avg = grads.astype(np.float64).mean(axis=0)
     return (img.astype(np.float64) * avg).sum(axis=0)
 
@@ -322,8 +303,8 @@ def masking_sensitivity(model: ModelState, sources: Sequence[str], dataset: Data
     curve rather than one noisy sample).
 
     Cell scores are one [images, trajectories, cells] array; saliency's come
-    from one `_class_gradient` call over all images. The masked rows of every
-    trajectory are one `run_passes` call, each pass building its own rows
+    from one `input_gradients` call over all images. The masked rows of every
+    trajectory are one `row_logits` call, each pass building its own rows
     from the ranks and the cell means, so only the passes in flight hold
     rows. The numbers are those of one pass per trajectory.
     """
@@ -348,7 +329,7 @@ def masking_sensitivity(model: ModelState, sources: Sequence[str], dataset: Data
             scores.append([seed_stream(seed, STREAM_ANALYSIS, idx).random((random_draws, gh * gw))
                            for idx in range(n_imgs)])
         else:
-            maps = (np.abs(_class_gradient(model, images, leading)).sum(axis=1)
+            maps = (np.abs(input_gradients(model, images, leading)).sum(axis=1)
                     if source == "saliency" else
                     np.stack([integrated_gradients(model, img, c, steps=ig_steps)
                               for img, c in zip(images, leading)]))
@@ -360,13 +341,13 @@ def masking_sensitivity(model: ModelState, sources: Sequence[str], dataset: Data
     fills = cell_means(images, p)[:, :, :, None, :, None]
     shape = (*scores.shape[:2], len(ns))            # a row per image, trajectory and n
 
-    def masked_logits(rows: slice) -> np.ndarray:
+    def masked_rows(rows: slice) -> np.ndarray:
         img, traj, n = np.unravel_index(np.arange(rows.start, rows.stop), shape)
         masked = (ranks[img, traj] < n[:, None]).reshape(-1, 1, gh, 1, gw, 1)
         filled = np.where(masked, fills[img], images[img].reshape(-1, 3, gh, p, gw, p))
-        return forward_logits(model, Tensor(filled.reshape(-1, 3, size, size))).data
+        return filled.reshape(-1, 3, size, size)
 
-    logits = run_passes(model, np.prod(shape), (size, size), masked_logits).reshape(*shape, -1)
+    logits = row_logits(model, np.prod(shape), (size, size), masked_rows).reshape(*shape, -1)
     probs = softmax(logits, axis=3)[np.arange(n_imgs), :, :, leading]   # [images, traj, n]
     counts = [random_draws if source == "random" else 1 for source in sources]
     per_image = [t.mean(axis=1) for t in np.split(probs, np.cumsum(counts)[:-1], axis=1)]
@@ -447,37 +428,6 @@ def scramble_test(model: ModelState, dataset: Dataset, seed: int = 0,
     return ScrambleResult(float(topk_hits(lc, labels, 1).mean()),
                           float(topk_hits(ls, labels, 1).mean()),
                           float(np.max(np.abs(lc - ls))), n)
-
-
-# ---------------------------------------------------------------------------
-# cross-model comparisons
-
-@dataclass
-class ScatterResult:
-    per_class_a: np.ndarray
-    per_class_b: np.ndarray
-    r: Optional[float]
-
-    @property
-    def degenerate(self) -> bool:
-        return self.r is None
-
-
-def per_class_scatter(per_class_a: np.ndarray, per_class_b: np.ndarray) -> ScatterResult:
-    a = np.asarray(per_class_a, dtype=np.float64)
-    b = np.asarray(per_class_b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise PreconditionError("per-class vectors must have identical length")
-    return ScatterResult(a, b, pearson(a, b))
-
-
-def logit_correlation(logits_a: np.ndarray, logits_b: np.ndarray) -> Optional[float]:
-    """Pearson over all (image, class) logit pairs; None when degenerate."""
-    a = np.asarray(logits_a, dtype=np.float64)
-    b = np.asarray(logits_b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise PreconditionError("logit arrays must have identical shape")
-    return pearson(a.reshape(-1), b.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .autodiff import (
     linear,
     relu,
     spatial_mean,
+    weighted_sum,
 )
 
 
@@ -144,11 +145,6 @@ def rf_geometry(config: BagNetConfig) -> tuple[int, int, int]:
         rf += (layer.kernel - 1) * jump
         jump *= layer.stride
     return rf, jump, offset
-
-
-def receptive_field(config: BagNetConfig) -> tuple[int, int]:
-    """(rf, stride) of the topmost feature layer."""
-    return rf_geometry(config)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +256,7 @@ def model_shapes(config: BagNetConfig) -> tuple[dict[str, tuple[int, ...]], dict
     """(parameter name -> shape, batch-norm name -> channels) of a model of
     `config`, in build order. Fails fast if the config's computed receptive
     field differs from its declared q."""
-    rf, _ = receptive_field(config)
+    rf, _, _ = rf_geometry(config)
     if rf != config.q:
         raise ConfigError(f"declared q={config.q} but computed receptive field is {rf}")
     stem, blocks = layer_table(config)
@@ -399,12 +395,11 @@ PASSES_IN_FLIGHT = 2
 _pass_pool = ThreadPoolExecutor(PASSES_IN_FLIGHT, thread_name_prefix="bagnet-pass")
 
 # bytes that the largest tensors of all passes in flight may take together:
-# each pass of run_passes (_chunked's evidence and logit passes, and the
-# masked rows of interpret's sensitivity and interaction) holds its share of
-# this many bytes of its largest per-image im2col matrix or activation, so
-# passes stay in cache and memory is bounded whatever the number of rows.
-# Input-gradient passes (interpret._class_gradient) take as many rows, but
-# each keeps its whole backward graph, about 1.8 MB per bagnet9_32 row at
+# each logit or evidence pass of run_passes (_chunked's and row_logits')
+# holds its share of this many bytes of its largest per-image im2col matrix
+# or activation, so passes stay in cache and memory is bounded whatever the
+# number of rows. Input-gradient passes (input_gradients) take as many rows,
+# but each keeps its whole backward graph, about 1.8 MB per bagnet9_32 row at
 # 32 px: far above this budget, yet still bounded whatever the number of rows
 PASS_BYTES = 4 << 20
 
@@ -438,13 +433,13 @@ def pass_images(config: BagNetConfig, h: int, w: int) -> int:
 def run_passes(model: ModelState, n: int, hw: tuple[int, int], fn) -> np.ndarray:
     """Concatenated fn(rows) over the passes of n rows of h x w images, under
     `frozen_params`: slices of `pass_images` rows (one empty slice for n = 0),
-    for fn to build and run. The one pass loop and eval-mode check: of
-    `_chunked` (evidence_batch, batch_logits, patch_oracle_evidence) and of
-    interpret's `_class_gradient`, `masking_sensitivity` and
-    `interaction_experiment`. One pass runs in the calling thread; more run
-    PASSES_IN_FLIGHT at a time on the pass pool. Returns or raises when every
-    pass it started has ended, with the first error in pass order. fn must not
-    call run_passes: its passes would queue behind the pool threads."""
+    for fn to build and run. The one pass loop and eval-mode check, called
+    only in this module: by `_chunked` (evidence_batch, batch_logits,
+    patch_oracle_evidence), `row_logits` and `input_gradients`. One pass runs
+    in the calling thread; more run PASSES_IN_FLIGHT at a time on the pass
+    pool. Returns or raises when every pass it started has ended, with the
+    first error in pass order. fn must not call run_passes: its passes would
+    queue behind the pool threads."""
     if model.mode != "eval":
         raise ConfigError("network passes require eval mode")
     step = pass_images(model.config, *hw)
@@ -485,6 +480,31 @@ def evidence_batch(model: ModelState, images) -> np.ndarray:
 def batch_logits(model: ModelState, images) -> np.ndarray:
     """Image-level logits of a normalized batch: [N,3,H,W] -> [N,K]."""
     return _chunked(model, images, lambda x: forward_logits(model, x).data)
+
+
+def row_logits(model: ModelState, n: int, hw: tuple[int, int], build) -> np.ndarray:
+    """Image-level logits of n rows of h x w images -> [n, K], where
+    build(rows) makes the images of a row slice inside its pass, so only
+    the passes in flight hold built rows."""
+    return run_passes(model, n, hw, lambda rows: forward_logits(model, Tensor(build(rows))).data)
+
+
+def input_gradients(model: ModelState, images: np.ndarray, classes) -> np.ndarray:
+    """d(class logit of each row) / d(input) of [N,3,H,W] images, with one
+    class per row or one for all rows. Runs in the passes of `run_passes`,
+    each keeping its own backward graph; eval-mode BN keeps rows
+    independent, so row k is image k's gradient whatever pass holds it."""
+    classes = np.broadcast_to(classes, len(images))
+
+    def gradient(rows: slice) -> np.ndarray:
+        x = Tensor(images[rows], requires_grad=True)
+        logits = forward_logits(model, x)
+        w = np.zeros(logits.shape, dtype=np.float64)
+        w[np.arange(len(w)), classes[rows]] = 1.0
+        weighted_sum(logits, w).backward()
+        return x.grad
+
+    return run_passes(model, len(images), images.shape[2:], gradient)
 
 
 @dataclass

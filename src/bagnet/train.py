@@ -142,8 +142,10 @@ def train(model: ModelState, train_set: Dataset, val_set: Dataset,
     non-finite value) aborts and returns the last completed epoch's
     state with `diverged` set and `divergence` naming the failure.
     """
-    if train_set.num_classes != model.config.num_classes:
-        raise ConfigError("model and dataset class counts differ")
+    for name, ds in (("train_set", train_set), ("val_set", val_set)):
+        if ds.num_classes != model.config.num_classes:
+            raise ConfigError(f"{name} has {ds.num_classes} classes but the model has "
+                              f"{model.config.num_classes}")
     if start_epoch == 0:
         model.norm_mean, model.norm_std = channel_stats(train_set)
     stats = (model.norm_mean, model.norm_std)

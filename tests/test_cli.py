@@ -189,6 +189,28 @@ def test_exit_code_missing_file(tmp_path):
     assert main(["dataset", "inspect", str(tmp_path / "nope.bagd")]) == 3
 
 
+@pytest.mark.parametrize("case", ["inspect DIR", "eval --checkpoint DIR",
+                                  "threshold --data DIR", "eval --out FILE"])
+def test_path_that_cannot_be_read_or_written_exits_3_naming_it(workdir, tmp_path, capsys, case):
+    ck, data, out = str(workdir / "run" / "model.bagc"), str(workdir / "val.bagd"), tmp_path / "o"
+    bad = tmp_path / "bad"
+    argv = {"inspect DIR": ["dataset", "inspect", str(bad)],
+            "eval --checkpoint DIR": ["eval", "--checkpoint", str(bad), "--data", data,
+                                      "--out", str(out)],
+            "threshold --data DIR": ["analyze", "threshold", "--checkpoint", ck, "--data", str(bad),
+                                     "--thresholds=0", "--out", str(out)],
+            "eval --out FILE": ["eval", "--checkpoint", ck, "--data", data, "--out", str(bad)]}[case]
+    if case.endswith("FILE"):
+        bad.write_text("kept")
+    else:
+        bad.mkdir()
+    assert main(argv) == 3                       # returns: no exception escapes main
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(bad) in err and "Traceback" not in err
+    assert not out.exists()
+    assert not bad.is_file() or bad.read_text() == "kept"
+
+
 @pytest.mark.parametrize("field", ["config", "meta"])
 def test_corrupt_checkpoint_json_exits_3(workdir, tmp_path, capsys, field):
     blob = bytearray((workdir / "run" / "model.bagc").read_bytes())
@@ -302,6 +324,18 @@ def test_class_count_mismatch_exits_4(workdir, three_class_val, tmp_path, capsys
     assert ck in err and str(three_class_val) in err
     assert "2 classes" in err and "has 3" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_train_val_with_another_class_count_exits_4_before_any_output(workdir, three_class_val,
+                                                                       tmp_path, capsys):
+    data = workdir / "train.bagd"
+    rc = main(["train", "--config", "bagnet5_32", "--data", str(data), "--val",
+               str(three_class_val), "--out", str(tmp_path / "run"), "--epochs", "1",
+               "--batch-size", "8"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert f"{three_class_val} has 3 classes but {data} has 2" in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("analysis,cls", [("heatmap", "2"), ("heatmap", "-1"),
@@ -528,6 +562,24 @@ def test_divergence_message_names_op_epoch_and_step(workdir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert ("training diverged: stem.conv.weight: non-finite values produced by op "
             "'sgd_momentum_step' at epoch 0 step 0; kept the last good checkpoint") in err
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "sensitivity", "scramble"])
+@pytest.mark.parametrize("value", ["-1", "-3", "x"])
+def test_seed_is_typed_at_parse_time(workdir, tmp_path, capsys, command, value):
+    """A seed numpy refuses is a usage error naming --seed, before any output."""
+    if command == "synth":
+        argv = SYNTH + ["--out", str(tmp_path / "d.bagd")]
+    elif command == "train":
+        argv = ["train", "--config", "bagnet5_32", "--data", str(workdir / "train.bagd"),
+                "--out", str(tmp_path / "run"), "--epochs", "1", "--batch-size", "8"]
+    else:
+        argv = _analysis_argv(workdir, tmp_path, command)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", value])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("value", ["0,", "a", ""])

@@ -23,6 +23,7 @@ from bagnet.model import (
     certify_receptive_field,
     forward_evidence,
     image_logits,
+    input_gradients,
     pass_images,
 )
 from bagnet.interpret import (
@@ -37,11 +38,9 @@ from bagnet.interpret import (
     integrated_gradients,
     interaction_experiment,
     interaction_pairs,
-    logit_correlation,
     masking_sensitivity,
     norm_images,
     pearson,
-    per_class_scatter,
     saliency,
     scramble_test,
     threshold_sweep,
@@ -219,8 +218,7 @@ class TestIntegratedGradients:
         ig64 = integrated_gradients(model, img, 1, steps=64)
         np.testing.assert_allclose(ig8, ig64, atol=1e-4)
         # equals (image - baseline) * input gradient, channel-summed
-        from bagnet.interpret import _class_gradient
-        g = _class_gradient(model, img[None], 1)[0]
+        g = input_gradients(model, img[None], 1)[0]
         np.testing.assert_allclose(ig64, (img * g).sum(axis=0), atol=1e-4)
 
     def test_completeness_within_one_percent(self, random_model, texture_batch):
@@ -355,28 +353,37 @@ class TestScramble:
 class TestCorrelations:
     def test_scatter_self_is_one(self):
         acc = np.array([0.2, 0.5, 0.9, 0.4])
-        r = per_class_scatter(acc, acc)
-        assert r.r == pytest.approx(1.0)
+        assert pearson(acc, acc) == pytest.approx(1.0)
 
     def test_scatter_negation_minus_one(self):
         acc = np.array([0.2, 0.5, 0.9, 0.4])
-        assert per_class_scatter(acc, -acc).r == pytest.approx(-1.0)
+        assert pearson(acc, -acc) == pytest.approx(-1.0)
 
     def test_scatter_degenerate(self):
-        r = per_class_scatter(np.full(4, 0.5), np.array([0.1, 0.2, 0.3, 0.4]))
-        assert r.degenerate and r.r is None
+        assert pearson(np.full(4, 0.5), np.array([0.1, 0.2, 0.3, 0.4])) is None
 
     def test_logit_correlation_identity_and_affine(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((20, 4))
-        assert logit_correlation(a, a) == pytest.approx(1.0)
-        assert logit_correlation(a, 3.0 * a + 1.0) == pytest.approx(1.0)
+        assert pearson(a.ravel(), a.ravel()) == pytest.approx(1.0)
+        assert pearson(a.ravel(), (3.0 * a + 1.0).ravel()) == pytest.approx(1.0)
 
     def test_logit_correlation_null_under_permutation(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((200, 4))
         b = a.reshape(-1)[rng.permutation(800)].reshape(200, 4)
-        assert abs(logit_correlation(a, b)) < 0.1
+        assert abs(pearson(a.ravel(), b.ravel())) < 0.1
+
+    @pytest.mark.parametrize("x,y", [(np.arange(4.0), np.arange(5.0)),
+                                     (np.arange(4.0), np.arange(4.0).reshape(2, 2))])
+    def test_unequal_shapes_are_refused(self, x, y):
+        with pytest.raises(PreconditionError, match="equal-length"):
+            pearson(x, y)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_values_are_refused(self, n):
+        with pytest.raises(PreconditionError, match="size >= 2"):
+            pearson(np.ones(n), np.ones(n))
 
 
 class TestHeatmapExport:
@@ -496,17 +503,16 @@ class TestCrossModelConsistency:
 
     def test_per_class_scatter_correlates(self, two_runs):
         ev_a, ev_b = two_runs
-        result = per_class_scatter(ev_a.per_class, ev_b.per_class)
-        assert not result.degenerate
-        assert result.r > 0.5, f"per-class r = {result.r}"
+        r = pearson(ev_a.per_class, ev_b.per_class)
+        assert r is not None
+        assert r > 0.5, f"per-class r = {r}"
 
     def test_logit_correlation_beats_permuted_null(self, two_runs):
         ev_a, ev_b = two_runs
-        r = logit_correlation(ev_a.logits, ev_b.logits)
+        r = pearson(ev_a.logits.ravel(), ev_b.logits.ravel())
         rng = np.random.default_rng(0)
         flat = ev_b.logits.reshape(-1)
-        null = logit_correlation(ev_a.logits,
-                                 flat[rng.permutation(flat.size)].reshape(ev_b.logits.shape))
+        null = pearson(ev_a.logits.ravel(), flat[rng.permutation(flat.size)])
         assert r is not None and null is not None
         assert r > 0.5, f"cross-model logit r = {r}"
         assert abs(null) < 0.2, f"permuted null unexpectedly correlated: {null}"
@@ -614,7 +620,6 @@ class TestOneBatchedPath:
         """Batch size of every network pass. The passes of one `run_passes`
         call may run at once and end in any order, so each call's sizes are
         kept in descending order, the order of `_chunks`."""
-        import bagnet.interpret as bi
         import bagnet.model as bm
         sizes = []
         original, run = bm.forward_features, bm.run_passes
@@ -631,8 +636,7 @@ class TestOneBatchedPath:
                 sizes[start:] = sorted(sizes[start:], reverse=True)
 
         monkeypatch.setattr(bm, "forward_features", counting)
-        for module in (bm, bi):
-            monkeypatch.setattr(module, "run_passes", sorting)
+        monkeypatch.setattr(bm, "run_passes", sorting)
         return sizes
 
     def test_top_patches_is_one_pass(self, random_model, texture_batch, passes):
@@ -686,15 +690,14 @@ class TestOneBatchedPath:
     @pytest.mark.parametrize("config", sorted(SHIPPED_CONFIGS))
     def test_class_gradient_per_row_classes_equal_one_row_calls_bit_for_bit(self, config):
         """A class per row, over more rows than one gradient pass holds."""
-        from bagnet.interpret import _class_gradient
         model = build_model(SHIPPED_CONFIGS[config](), seed=4)
         size = model.config.input_size
         rows = pass_images(model.config, size, size) + 2
         imgs = np.random.default_rng(6).standard_normal((rows, 3, size, size)).astype(np.float32)
         classes = np.arange(rows) % model.config.num_classes
-        grads = _class_gradient(model, imgs, classes)
+        grads = input_gradients(model, imgs, classes)
         for img, cls, grad in zip(imgs, classes, grads):
-            assert np.array_equal(grad, _class_gradient(model, img[None], cls)[0])
+            assert np.array_equal(grad, input_gradients(model, img[None], cls)[0])
 
     @pytest.mark.parametrize("config", sorted(SHIPPED_CONFIGS))
     def test_concurrent_passes_equal_one_pass_at_a_time_bit_for_bit(self, config, monkeypatch):
@@ -702,7 +705,6 @@ class TestOneBatchedPath:
         short switch interval, each run building the eval folds afresh from
         inside its passes, each fold once."""
         import bagnet.model as bm
-        from bagnet.interpret import _class_gradient
         built = []
         fold_affine = bm.fold_affine
         monkeypatch.setattr(bm, "fold_affine", lambda *args: built.append(args) or
@@ -717,7 +719,7 @@ class TestOneBatchedPath:
             model.folds.clear()
             built.clear()
             outputs = (batch_logits(model, imgs), evidence_batch(model, imgs),
-                       _class_gradient(model, imgs, classes))
+                       input_gradients(model, imgs, classes))
             assert len(built) == len(model.bn)
             return outputs
 
@@ -750,7 +752,6 @@ class TestOneBatchedPath:
         """The same layer-named error as one pass at a time; every pass is
         slowed, so a pass left running beside the failed one would show."""
         import bagnet.model as bm
-        from bagnet.interpret import _class_gradient
         model = build_model(SHIPPED_CONFIGS[config](), seed=4)
         size = model.config.input_size
         per_pass = pass_images(model.config, size, size)
@@ -771,7 +772,7 @@ class TestOneBatchedPath:
         def errors() -> list[str]:
             texts = []
             for call in (batch_logits, evidence_batch,
-                         lambda m, x: _class_gradient(m, x, 0)):
+                         lambda m, x: input_gradients(m, x, 0)):
                 with pytest.raises(NumericalError) as err:
                     call(model, imgs)
                 assert running == []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bagnet.data import Dataset, synth_texture_dataset
-from bagnet.model import BagNetConfig, BlockSpec, build_model
+from bagnet.model import BagNetConfig, BlockSpec, ConfigError, build_model
 from bagnet.train import (
     CheckpointFormatError,
     TrainConfig,
@@ -71,6 +71,17 @@ class TestTrainLoop:
         model = build_model(cfg, seed=0)
         ckpt = train(model, ds, ds, TrainConfig(epochs=1, batch_size=6, seed=0))
         assert ckpt.history[0]["train_loss"] == pytest.approx(0.0, abs=1e-7)
+
+    @pytest.mark.parametrize("role,classes", [("train_set", 8), ("val_set", 8), ("val_set", 2)])
+    def test_set_with_another_class_count_is_refused_before_any_step(self, role, classes):
+        sets = dict(zip(("train_set", "val_set"), tiny_sets()))
+        sets[role] = tiny_sets(num_classes=classes)[role == "val_set"]
+        model = build_model(TINY, seed=0)
+        before = snapshot_tensors(model)
+        with pytest.raises(ConfigError, match=f"{role} has {classes} classes but the model has 4"):
+            train(model, config=TrainConfig(epochs=1, batch_size=8, seed=0), **sets)
+        for name, value in snapshot_tensors(model).items():
+            assert np.array_equal(value, before[name]), name
 
     def test_zero_learning_rate_changes_nothing(self):
         tr, va = tiny_sets()
