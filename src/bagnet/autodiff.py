@@ -33,7 +33,7 @@ protects:
   a logit difference);
 - `weighted_sum`: criterion 6 (every finite-difference check reduces
   through it);
-- the evidence einsum in `model.evidence_batch`: criteria 1 and 2.
+- the evidence einsum in `model.forward_evidence`: criteria 1 and 2.
 
 Per-channel constants (inverse std, eval-mode scale and shift) are
 formed in float64; the normalized input of train-mode batch norm is

@@ -23,7 +23,6 @@ from .model import (
     EvidenceMap,
     ModelState,
     batch_logits,
-    evidence_batch,
     forward_evidence,
     input_gradients,
     rf_geometry,
@@ -61,16 +60,17 @@ def check_class(model: ModelState, cls: int) -> None:
         raise PreconditionError(f"class {cls} is out of range: the model has {k} classes")
 
 
-def analysed_count(dataset: Dataset, limit: Optional[int]) -> int:
-    """Images an analysis reads: the first `limit`, or all when None."""
+def norm_images(model: ModelState, dataset: Dataset, indices) -> np.ndarray:
+    return normalize_images(dataset.images[indices], model.norm_mean, model.norm_std)
+
+
+def analysed(model: ModelState, dataset: Dataset,
+             limit: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The first `limit` images (all when None), normalized, and their labels."""
     n = dataset.count if limit is None else min(limit, dataset.count)
     if n < 1:
         raise PreconditionError(f"limit {limit} selects none of the {dataset.count} images")
-    return n
-
-
-def norm_images(model: ModelState, dataset: Dataset, indices) -> np.ndarray:
-    return normalize_images(dataset.images[indices], model.norm_mean, model.norm_std)
+    return norm_images(model, dataset, np.arange(n)), dataset.labels[:n].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -194,33 +194,33 @@ def interaction_pairs(logits_of: Callable[[int, Callable[[slice], np.ndarray]], 
 def interaction_experiment(model: ModelState, dataset: Dataset, p: int,
                            limit: Optional[int] = None,
                            class_mode: str = "label") -> InteractionResult:
-    n = analysed_count(dataset, limit)
+    images, labels = analysed(model, dataset, limit)
     spec = MaskSpec(p=p)
-    # refuse a bad grid, or one with no two cells to add up, before any pass
+    # refuse a bad grid, or one with no two cells or images to correlate, before any pass
     cells = len(selected_cells(spec, dataset.size, dataset.size))
     if cells < 2:
         raise PreconditionError(f"p={p} on {dataset.size}x{dataset.size} images selects "
                                 f"{cells} alternate cell; the additivity test needs at least 2")
-    indices = list(range(n))
-    images = norm_images(model, dataset, indices)
-    if class_mode == "label":
-        classes = dataset.labels[:n].astype(np.int64)
-    elif class_mode == "pred":
-        classes = np.argmax(batch_logits(model, images), axis=1)
-    else:
+    if len(images) < 2:
+        raise PreconditionError(f"limit {limit} selects {len(images)} of the {dataset.count} "
+                                "images; the additivity test correlates at least 2")
+    if class_mode not in ("label", "pred"):
         raise PreconditionError(f"unknown class_mode {class_mode!r}")
+    classes = labels if class_mode == "label" else np.argmax(batch_logits(model, images), axis=1)
     lhs, rhs = interaction_pairs(lambda n, build: row_logits(model, n, images.shape[2:], build),
                                  images, classes, spec)
-    return InteractionResult(indices, lhs, rhs, pearson(lhs, rhs))
+    return InteractionResult(list(range(len(images))), lhs, rhs, pearson(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
 # attribution baselines
 
-def saliency(model: ModelState, image: np.ndarray, cls: int) -> np.ndarray:
-    """|d logit_cls / d pixel| summed over channels -> [H, W]."""
-    g = input_gradients(model, np.asarray(image, dtype=np.float32)[None], cls)[0]
-    return np.abs(g).sum(axis=0)
+def saliency(model: ModelState, images: np.ndarray, classes) -> np.ndarray:
+    """|d class logit / d pixel| summed over channels: one [3,H,W] image and
+    its class -> [H, W], or [N,3,H,W] images and a class each -> [N, H, W]."""
+    images = np.asarray(images, dtype=np.float32)
+    g = input_gradients(model, images.reshape(-1, *images.shape[-3:]), classes)
+    return np.abs(g).sum(axis=1).reshape(*images.shape[:-3], *images.shape[-2:])
 
 
 def integrated_gradients(model: ModelState, image: np.ndarray, cls: int,
@@ -247,18 +247,19 @@ class SensitivityCurve:
     per_image: np.ndarray            # [n_images, len(n_masked)]
 
 
-def cell_scores_from_evidence(em: EvidenceMap, cls: int, p: int,
+def cell_scores_from_evidence(em: EvidenceMap, cls, p: int,
                               grid: tuple[int, int]) -> np.ndarray:
     """Score of each p-cell: class evidence of every heatmap location whose
     receptive field intersects the cell, weighted by the overlapped fraction
-    of the window.
+    of the window. One class per map: a one-image map and its class give
+    [cells], an [N, K, Hm, Wm] map and [N] classes give [N, cells].
 
     A flat (unweighted) intersection sum lets windows that graze a cell by a
     single pixel dump their whole evidence into it, which measurably degrades
     the ranking; overlap weighting keeps the attribution linear and exact in
     the limit of disjoint windows.
     """
-    _, hm, wm = em.logits.shape
+    hm, wm = em.logits.shape[-2:]
     q = em.rf_size
 
     def overlap(m: int, cells: int, size: int) -> np.ndarray:
@@ -269,10 +270,11 @@ def cell_scores_from_evidence(em: EvidenceMap, cls: int, p: int,
         return np.maximum(span, 0).astype(np.float32)
 
     oy, ox = overlap(hm, grid[0], em.input_hw[0]), overlap(wm, grid[1], em.input_hw[1])
-    value = em.logits[cls] / (q * q)
+    picked = np.take_along_axis(em.logits, np.asarray(cls)[..., None, None, None], axis=-3)
+    value = picked[..., 0, :, :] / (q * q)
     # float32 terms, float64 sum in row-major location order: the loop's arithmetic
-    terms = value[:, :, None, None] * oy[:, None, :, None] * ox[None, :, None, :]
-    return terms.astype(np.float64).reshape(hm * wm, -1).sum(axis=0)
+    terms = value[..., None, None] * oy[:, None, :, None] * ox[None, :, None, :]
+    return terms.reshape(*value.shape[:-2], hm * wm, -1).sum(axis=-2, dtype=np.float64)
 
 
 SENSITIVITY_SOURCES = ("bagnet", "saliency", "ig", "random")
@@ -302,35 +304,36 @@ def masking_sensitivity(model: ModelState, sources: Sequence[str], dataset: Data
     over `random_draws` seeded rankings (an estimate of the expected random
     curve rather than one noisy sample).
 
-    Cell scores are one [images, trajectories, cells] array; saliency's come
-    from one `input_gradients` call over all images. The masked rows of every
-    trajectory are one `row_logits` call, each pass building its own rows
-    from the ranks and the cell means, so only the passes in flight hold
-    rows. The numbers are those of one pass per trajectory.
+    Cell scores are one [images, trajectories, cells] array; the BagNet's
+    come from one evidence call and saliency's from one `saliency` call over
+    all images. The masked rows of every trajectory are one `row_logits`
+    call, each pass building its own rows from the ranks and the cell means,
+    so only the passes in flight hold rows. The numbers are those of one
+    pass per trajectory.
     """
     check_sources(sources)
     if "random" in sources and random_draws < 1:
         raise PreconditionError(f"random_draws={random_draws}: the random source needs >= 1")
-    n_imgs = analysed_count(dataset, limit)
-    size = dataset.size
+    images, _ = analysed(model, dataset, limit)
+    n_imgs, size = len(images), dataset.size
     gh, gw = grid_cells(size, size, p, (0, 0))
     if not 0 <= n_max <= gh * gw:
         raise PreconditionError(f"n_max={n_max} is outside 0..{gh * gw}, the available cells")
     ns = list(range(n_max + 1))
-    images = norm_images(model, dataset, np.arange(n_imgs))
     leading = np.argmax(batch_logits(model, images), axis=1)
 
     scores = []                                     # per source: [images, trajectories, cells]
     for source in sources:
         if source == "bagnet":
-            scores.append([[cell_scores_from_evidence(forward_evidence(model, img), c, p, (gh, gw))]
-                           for img, c in zip(images, leading)])
+            em = forward_evidence(model, images)
+            scores.append(cell_scores_from_evidence(em, leading, p, (gh, gw))[:, None])
         elif source == "random":
             scores.append([seed_stream(seed, STREAM_ANALYSIS, idx).random((random_draws, gh * gw))
                            for idx in range(n_imgs)])
         else:
-            maps = (np.abs(input_gradients(model, images, leading)).sum(axis=1)
-                    if source == "saliency" else
+            # IG takes one call per image: an image's path is ig_steps rows, and
+            # the paths of a batch would hold ig_steps x images rows at once
+            maps = (saliency(model, images, leading) if source == "saliency" else
                     np.stack([integrated_gradients(model, img, c, steps=ig_steps)
                               for img, c in zip(images, leading)]))
             scores.append(maps.reshape(n_imgs, 1, gh, p, gw, p).sum(axis=(3, 5))
@@ -369,9 +372,8 @@ def threshold_sweep(model: ModelState, dataset: Dataset, thresholds: Sequence[fl
     check_topk(k, model.config.num_classes)
     if np.isnan(thresholds).any():
         raise PreconditionError(f"threshold nan in {list(thresholds)} is not a number")
-    n = analysed_count(dataset, limit)
-    ev = evidence_batch(model, norm_images(model, dataset, np.arange(n)))   # [n, K, Hm, Wm]
-    labels = dataset.labels[:n].astype(np.int64)
+    images, labels = analysed(model, dataset, limit)
+    ev = forward_evidence(model, images).logits                 # [n, K, Hm, Wm]
     rows = []
     for m in ("clamp", "binarize") if mode == "both" else (mode,):
         for t in thresholds:
@@ -417,17 +419,15 @@ def scramble_test(model: ModelState, dataset: Dataset, seed: int = 0,
             f"config {cfg.name!r} does not tile the input exactly "
             f"(stride {jump} vs q {cfg.q}, offset {offset}, size {dataset.size}); "
             "block scrambling would not be invariant")
-    n = analysed_count(dataset, limit)
+    imgs, labels = analysed(model, dataset, limit)
     rng = seed_stream(seed, STREAM_ANALYSIS, 0x5C2A)
     n_blocks = (dataset.size // cfg.q) ** 2
-    imgs = norm_images(model, dataset, np.arange(n))
     scrambled = np.stack([scramble_blocks(im, cfg.q, rng.permutation(n_blocks)) for im in imgs])
     lc = batch_logits(model, imgs)
     ls = batch_logits(model, scrambled)
-    labels = dataset.labels[:n].astype(np.int64)
     return ScrambleResult(float(topk_hits(lc, labels, 1).mean()),
                           float(topk_hits(ls, labels, 1).mean()),
-                          float(np.max(np.abs(lc - ls))), n)
+                          float(np.max(np.abs(lc - ls))), len(imgs))
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +454,8 @@ def write_ppm(path, rgb: np.ndarray) -> None:
 def heatmap_rgb(evidence: EvidenceMap, cls: int) -> np.ndarray:
     """Render one class's evidence at input resolution: each pixel takes the
     value of the location whose receptive-field center is nearest."""
+    if evidence.logits.ndim != 3:
+        raise PreconditionError(f"heatmaps take one image's map, got shape {evidence.logits.shape}")
     logits = evidence.logits[cls].astype(np.float64)
     vmax = float(np.max(np.abs(logits)))
     scaled = logits / vmax if vmax > 0 else np.zeros_like(logits)
@@ -508,17 +510,16 @@ def top_patches(model: ModelState, dataset: Dataset, cls: int, k: int,
     check_class(model, cls)
     if k < 1:
         raise PreconditionError(f"k={k}: top_patches needs k >= 1")
-    n = analysed_count(dataset, limit)
-    ev = evidence_batch(model, norm_images(model, dataset, np.arange(n)))[:, cls]  # [n, Hm, Wm]
+    images, labels = analysed(model, dataset, limit)
+    em = forward_evidence(model, images)
+    ev = em.logits[:, cls]                                # [n, Hm, Wm]
     order = np.argsort(-ev.reshape(-1), kind="stable")   # ties keep (image, i, j) order
-    labels = dataset.labels[:n].astype(np.int64)
     same = labels[order // (ev.shape[1] * ev.shape[2])] == cls
-    _, jump, offset = rf_geometry(model.config)
 
     def build(ranked: np.ndarray) -> list[PatchRecord]:
         records = []
         for idx, i, j in np.transpose(np.unravel_index(ranked[:k], ev.shape)).tolist():
-            top, left = offset + i * jump, offset + j * jump
+            top, left = em.offset + i * em.stride, em.offset + j * em.stride
             records.append(PatchRecord(
                 image_index=idx, location=(i, j), top_left=(top, left), q=model.config.q,
                 logit=float(ev[idx, i, j]),

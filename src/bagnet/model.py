@@ -2,9 +2,9 @@
 features see at most q x q input pixels, a per-location linear
 classifier, and linear spatial aggregation to image logits.
 
-Two routes compute the same evidence map: `evidence_batch` (whole
-images, the one numpy evidence path every analysis reads) and
-`patch_oracle_evidence` (every q x q patch cropped out and classified
+Two routes compute the same evidence map: `forward_evidence` (whole
+images, one or a batch: the one numpy evidence path every analysis reads)
+and `patch_oracle_evidence` (every q x q patch cropped out and classified
 independently). The oracle is the semantic definition; equality of the
 two is asserted by tests rather than assumed.
 
@@ -395,12 +395,13 @@ PASSES_IN_FLIGHT = 2
 _pass_pool = ThreadPoolExecutor(PASSES_IN_FLIGHT, thread_name_prefix="bagnet-pass")
 
 # bytes that the largest tensors of all passes in flight may take together:
-# each logit or evidence pass of run_passes (_chunked's and row_logits')
-# holds its share of this many bytes of its largest per-image im2col matrix
-# or activation, so passes stay in cache and memory is bounded whatever the
-# number of rows. Input-gradient passes (input_gradients) take as many rows,
-# but each keeps its whole backward graph, about 1.8 MB per bagnet9_32 row at
-# 32 px: far above this budget, yet still bounded whatever the number of rows
+# each logit or evidence pass of run_passes (forward_evidence's, batch_logits'
+# and row_logits') holds its share of this many bytes of its largest
+# per-image im2col matrix or activation, so passes stay in cache and memory
+# is bounded whatever the number of rows. Input-gradient passes
+# (input_gradients) take as many rows, but each keeps its whole backward
+# graph, about 1.8 MB per bagnet9_32 row at 32 px: far above this budget, yet
+# still bounded whatever the number of rows
 PASS_BYTES = 4 << 20
 
 
@@ -434,7 +435,7 @@ def run_passes(model: ModelState, n: int, hw: tuple[int, int], fn) -> np.ndarray
     """Concatenated fn(rows) over the passes of n rows of h x w images, under
     `frozen_params`: slices of `pass_images` rows (one empty slice for n = 0),
     for fn to build and run. The one pass loop and eval-mode check, called
-    only in this module: by `_chunked` (evidence_batch, batch_logits,
+    only in this module: by `_chunked` (forward_evidence, batch_logits,
     patch_oracle_evidence), `row_logits` and `input_gradients`. One pass runs
     in the calling thread; more run PASSES_IN_FLIGHT at a time on the pass
     pool. Returns or raises when every pass it started has ended, with the
@@ -461,20 +462,6 @@ def _chunked(model: ModelState, images, fn) -> np.ndarray:
     if arr.ndim != 4:
         raise ConfigError(f"expected an [N,3,H,W] batch, got shape {arr.shape}")
     return run_passes(model, len(arr), arr.shape[2:], lambda rows: fn(Tensor(arr[rows])))
-
-
-def evidence_batch(model: ModelState, images) -> np.ndarray:
-    """Class evidence at every location of a normalized batch (no softmax):
-    [N,3,H,W] -> [N,K,Hm,Wm] float32, accumulated in float64."""
-    w64 = model.params["classifier.weight"].value.data.astype(np.float64)
-    b64 = model.params["classifier.bias"].value.data.astype(np.float64)
-
-    def classify(x: Tensor) -> np.ndarray:
-        feats = forward_features(model, x).data.astype(np.float64)
-        logits = np.einsum("nfhw,kf->nkhw", feats, w64) + b64[None, :, None, None]
-        return logits.astype(np.float32)
-
-    return _chunked(model, images, classify)
 
 
 def batch_logits(model: ModelState, images) -> np.ndarray:
@@ -511,7 +498,7 @@ def input_gradients(model: ModelState, images: np.ndarray, classes) -> np.ndarra
 class EvidenceMap:
     """Per-location, per-class logits plus the pixel geometry of each
     location's q x q window."""
-    logits: np.ndarray        # [num_classes, Hm, Wm] float32
+    logits: np.ndarray        # [..., num_classes, Hm, Wm] float32
     stride: int
     rf_size: int
     offset: int               # top-left of location (0, 0), negative if padded
@@ -519,7 +506,7 @@ class EvidenceMap:
 
     def interior_mask(self) -> np.ndarray:
         """[Hm, Wm] bool: True where the location's window lies inside the image."""
-        _, hm, wm = self.logits.shape
+        hm, wm = self.logits.shape[-2:]
         top = self.offset + np.arange(max(hm, wm)) * self.stride   # one axis at a time
         rows = (top[:hm] >= 0) & (top[:hm] + self.rf_size <= self.input_hw[0])
         cols = (top[:wm] >= 0) & (top[:wm] + self.rf_size <= self.input_hw[1])
@@ -533,17 +520,30 @@ def _single_image(image) -> np.ndarray:
     return arr.astype(np.float32, copy=False)
 
 
-def forward_evidence(model: ModelState, image) -> EvidenceMap:
-    """Class evidence at every location of one [3,H,W] image (no softmax)."""
-    arr = _single_image(image)
+def forward_evidence(model: ModelState, images) -> EvidenceMap:
+    """Class evidence at every location (no softmax) of one normalized
+    [3,H,W] image or an [N,3,H,W] batch: logits [..., K, Hm, Wm] float32,
+    accumulated in float64."""
+    arr = np.asarray(images, dtype=np.float32)
+    if arr.ndim not in (3, 4) or arr.shape[-3] != 3:
+        raise ConfigError(f"expected a [3,H,W] image or an [N,3,H,W] batch, got shape {arr.shape}")
+    w64 = model.params["classifier.weight"].value.data.astype(np.float64)
+    b64 = model.params["classifier.bias"].value.data.astype(np.float64)
+
+    def classify(x: Tensor) -> np.ndarray:
+        feats = forward_features(model, x).data.astype(np.float64)
+        logits = np.einsum("nfhw,kf->nkhw", feats, w64) + b64[None, :, None, None]
+        return logits.astype(np.float32)
+
+    logits = _chunked(model, arr.reshape(-1, *arr.shape[-3:]), classify)
     rf, jump, offset = rf_geometry(model.config)
-    return EvidenceMap(evidence_batch(model, arr[None])[0], jump, rf, offset,
-                       (arr.shape[1], arr.shape[2]))
+    return EvidenceMap(logits.reshape(*arr.shape[:-3], *logits.shape[1:]), jump, rf, offset,
+                       arr.shape[-2:])
 
 
 def image_logits(evidence: EvidenceMap) -> np.ndarray:
-    """Per-class spatial mean of the evidence map."""
-    return evidence.logits.astype(np.float64).mean(axis=(1, 2)).astype(np.float32)
+    """Per-class spatial mean of the evidence map: [..., K]."""
+    return evidence.logits.astype(np.float64).mean(axis=(-2, -1)).astype(np.float32)
 
 
 def aggregate_then_classify(model: ModelState, image) -> np.ndarray:
@@ -645,7 +645,7 @@ def certify_receptive_field(model: ModelState, location: tuple[int, int],
             batch[n, :, pr, pc] += rng.standard_normal(3).astype(np.float32) * 3.0
         if 0 <= cr < size and 0 <= cc < size:
             batch[-1, :, cr, cc] += 3.0
-        logits = evidence_batch(model, batch)[:, :, i, j].astype(np.float64)
+        logits = forward_evidence(model, batch).logits[:, :, i, j].astype(np.float64)
         deltas = np.max(np.abs(logits[1:] - logits[0]), axis=1)
         leaks = deltas[:-1]
         if leaks.size and leaks.max() > max_leak:

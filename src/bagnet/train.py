@@ -94,7 +94,7 @@ class Checkpoint:
 @dataclass
 class EvalResult:
     topk_accuracy: float
-    per_class: np.ndarray            # [num_classes]
+    per_class: np.ndarray            # [num_classes] hit rate per label, 0 without images
     logits: np.ndarray               # [count, num_classes] float32
 
 
@@ -123,10 +123,8 @@ def evaluate(model: ModelState, dataset: Dataset, k: int = 1,
         for start in range(0, dataset.count, batch_size)])
     labels = dataset.labels.astype(np.int64)
     hits = topk_hits(logits, labels, k)
-    per_class = np.zeros(dataset.num_classes)
-    for c in range(dataset.num_classes):
-        mask = labels == c
-        per_class[c] = hits[mask].mean() if mask.any() else 0.0
+    count = np.bincount(labels, minlength=dataset.num_classes)
+    per_class = np.bincount(labels, hits, dataset.num_classes) / np.maximum(count, 1)
     return EvalResult(float(hits.mean()), per_class, logits)
 
 

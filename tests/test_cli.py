@@ -545,6 +545,20 @@ def test_bad_class_or_grid_is_refused_before_any_pass(workdir, tmp_path, capsys,
     assert chunked_passes
 
 
+def test_interaction_on_fewer_than_two_images_exits_4_before_any_pass(workdir, tmp_path,
+                                                                      capsys, monkeypatch):
+    """The additivity r needs two images: `--limit 1` is refused naming the
+    limit and the image count, with no network pass and no interaction.csv."""
+    passes = []
+    original = bm.forward_features
+    monkeypatch.setattr(bm, "forward_features",
+                        lambda *args, **kwargs: passes.append(args) or original(*args, **kwargs))
+    assert main(_analysis_argv(workdir, tmp_path, "interaction") + ["--limit", "1"]) == 4
+    assert "limit 1 selects 1 of the 16 images" in capsys.readouterr().err
+    assert passes == []
+    assert not list(tmp_path.rglob("interaction.csv"))
+
+
 @pytest.mark.parametrize("value", ["abc", "1.5", ""])
 def test_heatmap_class_is_typed_at_parse_time(workdir, tmp_path, capsys, value):
     with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@
 modifications, attribution correctness, thresholding, scrambling,
 correlations, heatmap and patch export."""
 
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -31,7 +32,6 @@ from bagnet.interpret import (
     PreconditionError,
     apply_mask,
     cell_scores_from_evidence,
-    evidence_batch,
     batch_logits,
     export_heatmap,
     heatmap_rgb,
@@ -311,6 +311,15 @@ class TestMaskingSensitivity:
         grid = (size // p, size // p)
         assert np.array_equal(cell_scores_from_evidence(em, 1, p, grid),
                               reference_cell_scores(em, 1, p, grid))
+        # an [N, K, m, m] map with one class per map: one call per map
+        maps = np.random.default_rng(p).standard_normal((3, 2, m, m)).astype(np.float32)
+        classes = np.array([1, 0, 1])
+        batch = cell_scores_from_evidence(EvidenceMap(maps, stride, q, offset, (size, size)),
+                                          classes, p, grid)
+        assert batch.shape == (3, grid[0] * grid[1])
+        for one, cls, got in zip(maps, classes, batch):
+            em = EvidenceMap(one, stride, q, offset, (size, size))
+            assert np.array_equal(got, cell_scores_from_evidence(em, cls, p, grid))
 
 
 class TestThresholdSweep:
@@ -413,6 +422,12 @@ class TestHeatmapExport:
         for line in lines[1:]:
             i, j, v = line.split(",")
             assert np.float32(float(v)) == em.logits[2, int(i), int(j)]
+
+    def test_batch_map_is_refused_naming_its_shape(self, tmp_path, random_model):
+        em = forward_evidence(random_model, np.zeros((2, 3, 32, 32), dtype=np.float32))
+        with pytest.raises(PreconditionError, match=re.escape("got shape (2, 4, 7, 7)")):
+            export_heatmap(em, 0, tmp_path / "h.ppm")
+        assert not list(tmp_path.iterdir())
 
     def test_ppm_header(self, tmp_path, random_model):
         em = forward_evidence(random_model, np.zeros((3, 32, 32), dtype=np.float32))
@@ -518,12 +533,17 @@ class TestCrossModelConsistency:
         assert abs(null) < 0.2, f"permuted null unexpectedly correlated: {null}"
 
 
-def test_evidence_batch_matches_forward_evidence(random_model, texture_batch):
+def test_batch_evidence_matches_one_image_evidence(random_model, texture_batch):
+    """A batch map's logits, interior mask and image logits are those of one
+    call per image."""
     imgs = norm_images(random_model, texture_batch, [0, 1, 2])
-    batch = evidence_batch(random_model, imgs)
+    batch = forward_evidence(random_model, imgs)
+    assert batch.logits.shape == (3, 4, 7, 7) and batch.input_hw == (32, 32)
     for i in range(3):
         em = forward_evidence(random_model, imgs[i])
-        np.testing.assert_allclose(batch[i], em.logits, atol=1e-5)
+        np.testing.assert_allclose(batch.logits[i], em.logits, atol=1e-5)
+        assert np.array_equal(batch.interior_mask(), em.interior_mask())
+        assert np.array_equal(image_logits(batch)[i], image_logits(em))
 
 
 def test_heatmap_completeness(random_model, texture_batch):
@@ -546,14 +566,14 @@ def test_limit_selecting_no_images_is_refused(random_model, texture_batch, run):
 
 
 @pytest.mark.parametrize("run", [
-    lambda m, d, x: evidence_batch(m, x),
+    lambda m, d, x: forward_evidence(m, x).logits,
     lambda m, d, x: batch_logits(m, x),
     lambda m, d, x: saliency(m, x[0], 0),
     lambda m, d, x: integrated_gradients(m, x[0], 0, steps=8),
     lambda m, d, x: masking_sensitivity(m, ["bagnet", "saliency", "ig", "random"], d, p=8,
                                         n_max=2, limit=2),
     lambda m, d, x: interaction_experiment(m, d, p=8, limit=2, class_mode="label"),
-], ids=["evidence_batch", "batch_logits", "saliency", "integrated_gradients",
+], ids=["forward_evidence", "batch_logits", "saliency", "integrated_gradients",
         "masking_sensitivity", "interaction_experiment"])
 def test_train_mode_model_is_refused_before_any_pass(texture_batch, monkeypatch, run):
     """ConfigError (exit 4 from the CLI) before any forward pass, so no
@@ -598,7 +618,7 @@ def _chunks(rows: int, per_pass: int) -> list[int]:
 
 
 class TestOneBatchedPath:
-    """evidence_batch and batch_logits are the one batched path: splitting a
+    """forward_evidence and batch_logits are the one batched path: splitting a
     batch into network passes of `pass_images` images leaves every number
     unchanged, and an analysis makes one pass per `pass_images` images it
     reads."""
@@ -609,7 +629,7 @@ class TestOneBatchedPath:
         size = model.config.input_size
         imgs = np.random.default_rng(6).standard_normal(
             (pass_images(model.config, size, size) + 1, 3, size, size)).astype(np.float32)
-        ev = evidence_batch(model, imgs)
+        ev = forward_evidence(model, imgs).logits
         lg = batch_logits(model, imgs)
         for i, img in enumerate(imgs):
             assert np.array_equal(ev[i], forward_evidence(model, img).logits)
@@ -671,15 +691,15 @@ class TestOneBatchedPath:
 
     def test_sensitivity_logits_calls_span_sources_and_images(self, random_model, texture_batch,
                                                               passes):
-        """The passes of the unmasked images, of each source's scores (an
-        evidence pass per image for bagnet, one gradient call for saliency, an
-        IG path per image), then the trajectory rows of every source and
-        image in one run of `pass_images`-row passes."""
+        """The passes of the unmasked images, of each source's scores (one
+        evidence call for bagnet, one gradient call for saliency, an IG path
+        per image), then the trajectory rows of every source and image in one
+        run of `pass_images`-row passes."""
         n, n_max, steps = 4, 8, 32
         masking_sensitivity(random_model, ["bagnet", "saliency", "ig", "random"], texture_batch,
                             p=8, n_max=n_max, limit=n, ig_steps=steps)
         per_pass = pass_images(random_model.config, 32, 32)
-        assert passes == (_chunks(n, per_pass) + [1] * n + _chunks(n, per_pass)
+        assert passes == (_chunks(n, per_pass) + _chunks(n, per_pass) + _chunks(n, per_pass)
                           + n * _chunks(steps, per_pass) + _chunks(n * 7 * (n_max + 1), per_pass))
 
     def test_integrated_gradients_runs_in_pass_sized_chunks(self, random_model, passes):
@@ -700,6 +720,29 @@ class TestOneBatchedPath:
             assert np.array_equal(grad, input_gradients(model, img[None], cls)[0])
 
     @pytest.mark.parametrize("config", sorted(SHIPPED_CONFIGS))
+    def test_batch_saliency_equals_one_image_calls_bit_for_bit(self, config):
+        """One class per image, over more images than one gradient pass holds."""
+        model = build_model(SHIPPED_CONFIGS[config](), seed=4)
+        size = model.config.input_size
+        rows = pass_images(model.config, size, size) + 2
+        imgs = np.random.default_rng(9).standard_normal((rows, 3, size, size)).astype(np.float32)
+        classes = np.arange(rows) % model.config.num_classes
+        maps = saliency(model, imgs, classes)
+        assert maps.shape == (rows, size, size)
+        for img, cls, got in zip(imgs, classes.tolist(), maps):
+            assert np.array_equal(got, saliency(model, img, cls))
+
+    @pytest.mark.parametrize("limit,count", [(1, 48), (None, 1)])
+    def test_interaction_on_fewer_than_two_images_is_refused_before_any_pass(
+            self, random_model, texture_batch, passes, limit, count):
+        data = Dataset(texture_batch.images[:count], texture_batch.labels[:count],
+                       texture_batch.class_names, split="val")
+        with pytest.raises(PreconditionError,
+                           match=f"limit {limit} selects 1 of the {count} images"):
+            interaction_experiment(random_model, data, p=8, limit=limit, class_mode="pred")
+        assert passes == []
+
+    @pytest.mark.parametrize("config", sorted(SHIPPED_CONFIGS))
     def test_concurrent_passes_equal_one_pass_at_a_time_bit_for_bit(self, config, monkeypatch):
         """On the pass pool, and on a pool of more threads than cores with a
         short switch interval, each run building the eval folds afresh from
@@ -718,7 +761,7 @@ class TestOneBatchedPath:
         def run():
             model.folds.clear()
             built.clear()
-            outputs = (batch_logits(model, imgs), evidence_batch(model, imgs),
+            outputs = (batch_logits(model, imgs), forward_evidence(model, imgs).logits,
                        input_gradients(model, imgs, classes))
             assert len(built) == len(model.bn)
             return outputs
@@ -771,7 +814,7 @@ class TestOneBatchedPath:
 
         def errors() -> list[str]:
             texts = []
-            for call in (batch_logits, evidence_batch,
+            for call in (batch_logits, forward_evidence,
                          lambda m, x: input_gradients(m, x, 0)):
                 with pytest.raises(NumericalError) as err:
                     call(model, imgs)

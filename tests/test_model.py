@@ -2,6 +2,8 @@
 equivalence of the two evidence routes, linearity interchange, locality
 certification (positive and negative) and scrambling invariance."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,12 @@ class TestEvidence:
         model = build_model(bagnet9_32(), seed=1)
         with pytest.raises(ConfigError):
             forward_evidence(model, np.zeros((3, 8, 8), dtype=np.float32))
+
+    @pytest.mark.parametrize("shape", [(32, 32), (2, 4, 32, 32), (2, 2, 3, 32, 32)])
+    def test_other_shapes_are_refused_naming_the_shape(self, shape):
+        model = build_model(bagnet9_32(), seed=1)
+        with pytest.raises(ConfigError, match=re.escape(f"got shape {shape}")):
+            forward_evidence(model, np.zeros(shape, dtype=np.float32))
 
     def test_interior_mask(self):
         # 9x9 windows every 4 px from -1 (the stem pads by 1): row and column
@@ -434,7 +442,7 @@ def test_rf_geometry_is_pinned(config, geometry):
 GRAPH_OPS = ("conv2d", "batch_norm", "relu", "crop2d", "add", "spatial_mean", "linear")
 
 
-@pytest.mark.parametrize("path", ["evidence_batch", "batch_logits", "patch_oracle_evidence"])
+@pytest.mark.parametrize("path", ["forward_evidence", "batch_logits", "patch_oracle_evidence"])
 def test_numpy_pass_keeps_no_backward_closure(monkeypatch, path):
     model = build_model(bagnet9_32(), seed=0)
     before = {n: p.value.requires_grad for n, p in model.params.items()}
@@ -457,7 +465,7 @@ def test_frozen_params_restores_the_flags_it_found():
     with bm.frozen_params(model):
         with bm.frozen_params(model):
             pass
-        bm.evidence_batch(model, np.zeros((1, 3, 32, 32), np.float32))
+        bm.forward_evidence(model, np.zeros((1, 3, 32, 32), np.float32))
         assert not any(p.value.requires_grad for p in model.params.values())
     assert {n: p.value.requires_grad for n, p in model.params.items()} == before
 
@@ -472,9 +480,9 @@ def test_repeated_pass_reuses_freed_buffers():
         pytest.skip("libc has no mallopt")
     model = build_model(bagnet9_32(), seed=0)
     images = np.random.default_rng(0).standard_normal((128, 3, 32, 32)).astype(np.float32)
-    bm.evidence_batch(model, images)
+    bm.forward_evidence(model, images)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    bm.evidence_batch(model, images)
+    bm.forward_evidence(model, images)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
@@ -510,9 +518,9 @@ def test_eval_fold_matches_conv_then_batch_norm(monkeypatch, name):
     model = _with_running_stats(build_model(SHIPPED_CONFIGS[name](), seed=5), seed=6)
     size = model.config.input_size
     images = np.random.default_rng(7).standard_normal((4, 3, size, size)).astype(np.float32)
-    folded = bm.evidence_batch(model, images), saliency(model, images[0], 1)
+    folded = bm.forward_evidence(model, images).logits, saliency(model, images[0], 1)
     monkeypatch.setattr(bm, "_conv_bn", _conv_then_batch_norm)
-    unfolded = bm.evidence_batch(model, images), saliency(model, images[0], 1)
+    unfolded = bm.forward_evidence(model, images).logits, saliency(model, images[0], 1)
     for got, want in zip(folded, unfolded):
         assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-4
 
@@ -535,7 +543,7 @@ def test_frozen_pass_checks_once_per_conv_and_residual_add(monkeypatch):
         original(arr, op)
 
     monkeypatch.setattr(ad, "_check_finite", counting)
-    bm.evidence_batch(model, images)
+    bm.forward_evidence(model, images)
     assert checked.count("conv2d") <= convs
     assert checked.count("add") <= len(blocks)
     assert checked.count("leaf") <= 1
@@ -555,7 +563,7 @@ def test_numerical_error_names_the_layer(mode):
     with pytest.raises(NumericalError,
                        match=rf"^block1\.conv2/bn2: non-finite values produced by op '{op}'"):
         if mode == "eval":
-            bm.evidence_batch(model, images)
+            bm.forward_evidence(model, images)
         else:
             model.train_mode()
             softmax_cross_entropy(bm.forward_logits(model, Tensor(images)), np.zeros(8, int))
@@ -577,7 +585,7 @@ def _restored(model):
 def _outputs(model, images):
     from bagnet.interpret import integrated_gradients, saliency
 
-    return (bm.evidence_batch(model, images), bm.batch_logits(model, images),
+    return (bm.forward_evidence(model, images).logits, bm.batch_logits(model, images),
             saliency(model, images[0], 1), integrated_gradients(model, images[1], 0, steps=8))
 
 
@@ -599,7 +607,7 @@ def test_in_place_write_after_an_eval_pass_raises(source):
     """The arrays a fold was built from are read-only: an in-place write
     raises instead of leaving the cached fold stale."""
     model = build_model(bagnet9_32(), seed=0)
-    bm.evidence_batch(model, np.zeros((1, 3, 32, 32), np.float32))
+    bm.forward_evidence(model, np.zeros((1, 3, 32, 32), np.float32))
     if source.startswith("running"):
         arr = getattr(model.bn["block1.bn2"], source)
     else:
@@ -615,12 +623,12 @@ def test_replaced_arrays_build_a_new_fold():
 
     model = _with_running_stats(build_model(bagnet9_32(), seed=5), seed=6)
     images = np.random.default_rng(8).standard_normal((4, 3, 32, 32)).astype(np.float32)
-    before = bm.evidence_batch(model, images)
+    before = bm.forward_evidence(model, images).logits
     gamma = model.params["block1.bn2.gamma"].value
     gamma.data = gamma.data * 2
-    replaced = bm.evidence_batch(model, images)
+    replaced = bm.forward_evidence(model, images).logits
     assert not np.array_equal(replaced, before)
-    assert replaced.tobytes() == bm.evidence_batch(_restored(model), images).tobytes()
+    assert replaced.tobytes() == bm.forward_evidence(_restored(model), images).logits.tobytes()
 
     model.train_mode()
     loss = softmax_cross_entropy(bm.forward_logits(model, Tensor(images)), np.arange(4))
@@ -628,9 +636,9 @@ def test_replaced_arrays_build_a_new_fold():
     loss.backward()
     sgd_momentum_step(model.parameters(), 0.05, 0.9)
     model.eval_mode()
-    stepped = bm.evidence_batch(model, images)
+    stepped = bm.forward_evidence(model, images).logits
     assert not np.array_equal(stepped, replaced)
-    assert stepped.tobytes() == bm.evidence_batch(_restored(model), images).tobytes()
+    assert stepped.tobytes() == bm.forward_evidence(_restored(model), images).logits.tobytes()
 
 
 def test_second_pass_builds_no_fold(monkeypatch):
@@ -644,10 +652,10 @@ def test_second_pass_builds_no_fold(monkeypatch):
     monkeypatch.setattr(bm.BatchNormState, "eval_affine", counting)
     model = build_model(bagnet9_32(), seed=0)
     images = np.random.default_rng(0).standard_normal((2, 3, 32, 32)).astype(np.float32)
-    bm.evidence_batch(model, images)
+    bm.forward_evidence(model, images)
     assert len(calls) == len(model.bn)
     calls.clear()
-    bm.evidence_batch(model, images)
+    bm.forward_evidence(model, images)
     bm.forward_evidence(with_declared_q(model, 8), images[0])    # shares the folds
     assert calls == []
 
@@ -666,4 +674,4 @@ def test_overflowing_fold_raises_numerical_error_and_no_warning(running_var):
         warnings.simplefilter("error")
         for _ in range(2):      # a built and then a cached fold
             with pytest.raises(NumericalError, match=r"^block1\.conv2/bn2: "):
-                bm.evidence_batch(model, images)
+                bm.forward_evidence(model, images)

@@ -168,6 +168,19 @@ class TestEvaluate:
         result = evaluate(model, va, k=1)
         assert result.per_class.mean() == pytest.approx(result.topk_accuracy, abs=1e-6)
 
+    def test_per_class_is_each_labels_hit_rate_and_0_without_images(self):
+        """On an unbalanced set with no image of class 2, each class's value
+        is the mean of its images' hits, bit for bit, and class 2's is 0."""
+        _, va = tiny_sets()
+        keep = np.flatnonzero(va.labels != 2)[:11]
+        unbalanced = Dataset(va.images[keep], va.labels[keep], va.class_names, split="val")
+        model = build_model(TINY, seed=3)
+        result = evaluate(model, unbalanced, k=2)
+        labels = unbalanced.labels.astype(np.int64)
+        hits = topk_hits(result.logits, labels, 2)
+        want = [hits[labels == c].mean() if (labels == c).any() else 0.0 for c in range(4)]
+        assert result.per_class.tolist() == want
+
 
 class TestCheckpoint:
     def _trained(self):
