@@ -71,6 +71,21 @@ so NumericalError is the one report of a non-finite value; `relu` and
 `crop2d` raise no floating-point warning on NaN or +-inf, so they run
 without that wrapper.
 
+Buffer ownership. `backward` drops an op output's gradient once the
+output's backward closure has consumed it; only leaves (parameters,
+inputs) keep `.grad`. So every gradient array belongs to one node, and
+a closure may write over the one it is handed: `relu` multiplies its
+mask into it, and `add` hands it to its first operand (the second gets
+a copy). In the same way an op output handed to `relu` or to train-mode
+`batch_norm` belongs to that op: when the output comes from an op of
+`_UNREAD_OUTPUTS` (conv2d, batch_norm, add, whose backward never reads
+its own output), relu writes max(x, 0) and batch_norm the deviation
+x - mean over its buffer. relu's backward reads its output, so nothing
+writes over it, and a leaf's buffer is never written. Such an output
+must therefore have that op as its one reader: `model.forward_features`,
+the only caller, hands each output to exactly one op. Nothing here
+changes a number; it frees the buffers that nothing reads again.
+
 Convolution runs as im2col + matrix multiply. An unpadded 1x1 conv is
 a GEMM on its input: the patch matrix is a view of it at stride 1 and
 one copy of its strided pixels at stride s > 1. A 3x3 conv copies one
@@ -135,6 +150,10 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 _node_ids = itertools.count()
 
 
+# ops whose backward never reads their own output: the one reader of such an
+# output (relu, train-mode batch_norm) may write over its buffer
+_UNREAD_OUTPUTS = frozenset({"conv2d", "batch_norm", "add"})
+
 # decorator: no numpy floating-point warnings inside; _check_finite reports
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
@@ -182,9 +201,10 @@ class Tensor:
 
     @_quiet
     def backward(self) -> None:
-        """Populate `grad` on every reachable node with the gradient of this
-        scalar; prior gradients on those nodes are overwritten, so repeated
-        calls are bitwise identical."""
+        """Populate `grad` on every reachable leaf with the gradient of this
+        scalar; prior gradients on those leaves are overwritten, so repeated
+        calls are bitwise identical. An op output's gradient is dropped once
+        its backward closure has consumed it."""
         if self.data.size != 1:
             raise DimensionError("backward root must be a scalar")
         nodes: dict[int, Tensor] = {}
@@ -202,6 +222,7 @@ class Tensor:
         for node in order:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None     # consumed: only leaves keep a gradient
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -229,10 +250,11 @@ def _node(data: np.ndarray, op: str, parents: Sequence[Tensor], backward=None) -
 
 
 def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
-    """Add `g` into `t.grad`. `fresh` promises that no other node holds `g`,
-    so a first contribution of the right dtype and layout is kept, not
-    copied; any other first contribution is copied, since it may be shared
-    with another parent or be a broadcast view."""
+    """Add `g` into `t.grad`. `fresh` promises that no other node reads `g`
+    again (a new array, or the calling node's own gradient, which `backward`
+    drops after the call), so a first contribution of the right dtype and
+    layout is kept, not copied; any other first contribution is copied,
+    since it may be shared with another parent or be a broadcast view."""
     if t.grad is None:
         if fresh and g.dtype == t.data.dtype and g.flags.c_contiguous:
             t.grad = g
@@ -261,8 +283,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _common_dtype(a, b)
 
     def bw(g):
+        # g is this node's own: the first operand takes it, the second a copy
         if a.requires_grad:
-            _accumulate(a, g)
+            _accumulate(a, g, fresh=a is not b)
         if b.requires_grad:
             _accumulate(b, g)
 
@@ -270,13 +293,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """max(0, x); the gradient is the 0/1 mask of strictly positive inputs."""
-    out = np.maximum(x.data, 0)
+    """max(0, x); the gradient is the 0/1 mask of strictly positive inputs.
+    Writes over the buffer of an `_UNREAD_OUTPUTS` input (buffer ownership,
+    module docstring)."""
+    out = np.maximum(x.data, 0, out=x.data if x.op in _UNREAD_OUTPUTS else None)
 
     def bw(g):
         if x.requires_grad:
-            # out > 0 exactly where x > 0
-            _accumulate(x, g * (out > 0), fresh=True)
+            # out > 0 exactly where x > 0; g * mask keeps a -0.0 gradient
+            _accumulate(x, np.multiply(g, out > 0, out=g), fresh=True)
 
     return _node(out, "relu", (x,), bw)
 
@@ -454,7 +479,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 
     Statistics and the backward sums accumulate in float64; the normalized
     input and the elementwise math stay in the storage dtype. In eval mode
-    the op is the per-channel affine map x * scale + shift.
+    the op is the per-channel affine map x * scale + shift. Train mode
+    writes the deviation over the buffer of an `_UNREAD_OUTPUTS` input
+    (buffer ownership, module docstring).
     """
     if x.data.ndim != 4:
         raise DimensionError("batch_norm expects [N,C,H,W]")
@@ -470,9 +497,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         if m < 2:
             raise DimensionError("train-mode batch_norm needs N*H*W >= 2")
         mean = x.data.sum(axis=axes, dtype=np.float64) / m
-        # two-pass variance: deviations from the mean, then their squares,
-        # squared into the buffer that later holds the output
-        xhat = x.data - _per_channel(mean, dt)
+        # two-pass variance: deviations from the mean (over x's buffer when
+        # batch norm owns it), then their squares, squared into the buffer
+        # that later holds the output
+        xhat = np.subtract(x.data, _per_channel(mean, dt),
+                           out=x.data if x.op in _UNREAD_OUTPUTS else None)
         out = np.square(xhat)
         var = out.sum(axis=axes, dtype=np.float64) / m
         invstd = 1.0 / np.sqrt(var + state.eps)

@@ -272,9 +272,13 @@ def cell_scores_from_evidence(em: EvidenceMap, cls, p: int,
     oy, ox = overlap(hm, grid[0], em.input_hw[0]), overlap(wm, grid[1], em.input_hw[1])
     picked = np.take_along_axis(em.logits, np.asarray(cls)[..., None, None, None], axis=-3)
     value = picked[..., 0, :, :] / (q * q)
-    # float32 terms, float64 sum in row-major location order: the loop's arithmetic
-    terms = value[..., None, None] * oy[:, None, :, None] * ox[None, :, None, :]
-    return terms.reshape(*value.shape[:-2], hm * wm, -1).sum(axis=-2, dtype=np.float64)
+    # float32 terms, float64 sum from zero in row-major location order: the
+    # loop's arithmetic, one location's [..., cells] terms at a time
+    total = np.zeros((*value.shape[:-2], *grid))
+    for i in range(hm):
+        for j in range(wm):
+            total += value[..., i, j, None, None] * oy[i][:, None] * ox[j][None, :]
+    return total.reshape(*value.shape[:-2], -1)
 
 
 SENSITIVITY_SOURCES = ("bagnet", "saliency", "ig", "random")

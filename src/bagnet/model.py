@@ -400,7 +400,7 @@ _pass_pool = ThreadPoolExecutor(PASSES_IN_FLIGHT, thread_name_prefix="bagnet-pas
 # per-image im2col matrix or activation, so passes stay in cache and memory
 # is bounded whatever the number of rows. Input-gradient passes
 # (input_gradients) take as many rows, but each keeps its whole backward
-# graph, about 1.8 MB per bagnet9_32 row at 32 px: far above this budget, yet
+# graph, about 0.9 MB per bagnet9_32 row at 32 px: far above this budget, yet
 # still bounded whatever the number of rows
 PASS_BYTES = 4 << 20
 

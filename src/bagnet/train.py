@@ -163,6 +163,7 @@ def train(model: ModelState, train_set: Dataset, val_set: Dataset,
                 sgd_momentum_step(model.parameters(), lr, config.momentum)
                 running_loss += loss.item()
                 batches += 1
+                del loss     # the step's graph, before the next forward
         except NumericalError as err:
             ckpt = Checkpoint(model.config, last_good, epoch, config.seed, history,
                               diverged=True, divergence=f"{err} at epoch {epoch} step {batches}")

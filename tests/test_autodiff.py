@@ -353,6 +353,97 @@ class TestBackward:
 
 
 # ---------------------------------------------------------------------------
+# buffer ownership: gradient release and buffers reused by their one reader
+
+def _graph(root):
+    """Every node reachable from `root` through `parents`."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.parents)
+    return list(seen.values())
+
+
+class TestBufferOwnership:
+    def test_after_backward_only_leaves_keep_a_gradient(self):
+        # every op kind: conv -> train bn -> relu twice, a cropped shortcut,
+        # add, relu, mean, linear and the loss
+        rng = np.random.default_rng(13)
+        x = rand(rng, (4, 3, 8, 8))
+        w1, w2 = rand(rng, (5, 3, 3, 3)), rand(rng, (5, 5, 3, 3))
+        gamma, beta = rand(rng, (5,)), rand(rng, (5,))
+        wl, bl = rand(rng, (3, 5)), rand(rng, (3,))
+        h = relu(batch_norm(conv2d(x, w1, zero_pad=1), gamma, beta, BatchNormState(5), True))
+        main = batch_norm(conv2d(h, w2), gamma, beta, BatchNormState(5), True)
+        out = relu(add(main, crop2d(h, 6, 6)))
+        loss = softmax_cross_entropy(linear(spatial_mean(out), wl, bl), [0, 1, 2, 0])
+        loss.backward()
+        nodes = _graph(loss)
+        assert {n.op for n in nodes} == {"leaf", "conv2d", "batch_norm", "relu", "add",
+                                         "crop2d", "spatial_mean", "linear",
+                                         "softmax_cross_entropy"}
+        for node in nodes:
+            if node.op == "leaf":
+                assert node.grad is not None and node.grad.shape == node.shape
+            else:
+                assert node.grad is None, node.op
+
+    @pytest.mark.parametrize("op", ["relu", "batch_norm_train", "batch_norm_eval", "add"])
+    def test_leaf_buffers_are_never_written(self, op):
+        rng = np.random.default_rng(14)
+        a, b = rand(rng, (2, 3, 4, 4)), rand(rng, (2, 3, 4, 4))
+        gamma, beta = rand(rng, (3,)), rand(rng, (3,))
+        leaves = (a, b, gamma, beta)
+        before = [t.data.copy() for t in leaves]
+        if op == "relu":
+            out = relu(a)
+        elif op == "add":
+            out = add(a, b)
+        else:
+            out = batch_norm(a, gamma, beta, BatchNormState(3), op == "batch_norm_train")
+        weighted_sum(out, rng.standard_normal(out.shape)).backward()
+        for t, was in zip(leaves, before):
+            assert t.data.tobytes() == was.tobytes()
+
+    def test_relu_takes_the_buffer_of_an_op_output_only_it_reads(self):
+        rng = np.random.default_rng(15)
+        x, w = rand(rng, (2, 3, 6, 6)), rand(rng, (4, 3, 3, 3))
+        gamma, beta = rand(rng, (4,)), rand(rng, (4,))
+        c = conv2d(x, w)
+        want = np.maximum(c.data, 0)
+        r = relu(c)
+        assert np.shares_memory(r.data, c.data)
+        np.testing.assert_array_equal(r.data, want)
+        bn = batch_norm(conv2d(x, w), gamma, beta, BatchNormState(4), True)
+        assert np.shares_memory(relu(bn).data, bn.data)
+        s = add(c, c)
+        assert np.shares_memory(relu(s).data, s.data)
+        assert not np.shares_memory(relu(x).data, x.data)
+
+    def test_train_batch_norm_never_writes_over_a_relu_output(self):
+        # relu's backward reads its output: batch norm must leave it intact
+        rng = np.random.default_rng(16)
+        x, w = rand(rng, (2, 3, 6, 6)), rand(rng, (4, 3, 3, 3))
+        gamma, beta = rand(rng, (4,)), rand(rng, (4,))
+        r = relu(conv2d(x, w))
+        kept = r.data.copy()
+        out = batch_norm(r, gamma, beta, BatchNormState(4), True)
+        assert r.data.tobytes() == kept.tobytes()
+        weighted_sum(out, rng.standard_normal(out.shape)).backward()
+        assert r.data.tobytes() == kept.tobytes()
+
+    def test_relu_gradient_keeps_negative_zero(self):
+        # the mask multiplies into the gradient, so the signs of zeros are
+        # those of g * mask: -0.0 * 1 and -1.0 * 0 are both -0.0
+        x = Tensor([1.0, 1.0, -1.0, -1.0], requires_grad=True)
+        weighted_sum(relu(x), np.array([-0.0, 1.0, -1.0, 1.0])).backward()
+        want = np.array([-0.0, 1.0, -0.0, 0.0], dtype=np.float32)
+        assert x.grad.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # gradients vs finite differences, every op, >= 10 seeds
 
 def _fd_check(build, x0, seed, rtol_f32=1e-2, atol_f32=1e-3, rtol_f64=1e-4, atol_f64=1e-6):
@@ -505,6 +596,63 @@ def test_gradient_residual_add(seed):
     r = rng.standard_normal((2, 2, 3, 3))
     _fd_check(lambda x: weighted_sum(
         add(x, Tensor(other.astype(x.dtype), dtype=x.dtype)), r), x0, seed)
+
+
+def _fd_each(build, arrays, seed, **tol):
+    """_fd_check of build(tensors) with respect to each of `arrays` in turn,
+    the others held constant in the same dtype."""
+    for i, x0 in enumerate(arrays):
+        def one(t, i=i):
+            return build([t if j == i else Tensor(a.astype(t.dtype), dtype=t.dtype)
+                          for j, a in enumerate(arrays)])
+        _fd_check(one, x0, seed, **tol)
+
+
+def _clear_of_kink(pre, inputs, weights, r):
+    """r with the terms zeroed whose relu input `pre` is within reach of
+    the kink under the largest finite-difference step (5% of the largest
+    input, times the largest weight it meets, with room to spare)."""
+    step = 0.05 * max(np.abs(inputs).max(), 0.1) * max(np.abs(weights).max(), 1.0)
+    return r * (np.abs(pre) > 2 * step)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_gradient_relu_over_conv_output(seed):
+    # relu writes over the conv output; its mask multiplies into g in place
+    rng = np.random.default_rng(seed + 800)
+    x0, w0 = rng.standard_normal((2, 2, 5, 5)), rng.standard_normal((3, 2, 3, 3))
+    pre = conv2d(Tensor(x0, dtype=np.float64), Tensor(w0, dtype=np.float64)).data
+    r = rng.standard_normal(pre.shape)
+    r = _clear_of_kink(pre, x0, w0, _clear_of_kink(pre, w0, x0, r))
+    _fd_each(lambda t: weighted_sum(relu(conv2d(t[0], t[1])), r), [x0, w0], seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_gradient_train_batch_norm_over_conv_then_relu(seed):
+    # batch norm writes its deviation over the conv output, relu writes over
+    # the batch-norm output; beta keeps every relu input far from the kink,
+    # on both sides of it
+    rng = np.random.default_rng(seed + 900)
+    x0, w0 = rng.standard_normal((2, 2, 5, 5)), rng.standard_normal((4, 2, 3, 3))
+    gamma0 = rng.uniform(0.5, 1.5, 4)
+    beta0 = np.array([8.0, -8.0, 8.0, -8.0]) + rng.uniform(-0.5, 0.5, 4)
+    r = rng.standard_normal((2, 4, 3, 3))
+
+    def build(t):
+        h = batch_norm(conv2d(t[0], t[1]), t[2], t[3], BatchNormState(4), training=True)
+        return weighted_sum(relu(h), r)
+    _fd_each(build, [x0, w0, gamma0, beta0], seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_gradient_relu_over_add(seed):
+    # relu writes over the sum; add hands its gradient to the first operand
+    # and a copy to the second
+    rng = np.random.default_rng(seed + 1000)
+    a0, b0 = rng.standard_normal((2, 2, 3, 3)), rng.standard_normal((2, 2, 3, 3))
+    r = rng.standard_normal(a0.shape)
+    r = _clear_of_kink(a0 + b0, np.concatenate([a0, b0]), 1.0, r)
+    _fd_each(lambda t: weighted_sum(relu(add(t[0], t[1])), r), [a0, b0], seed)
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,19 @@ class TestMaskingSensitivity:
             assert np.array_equal(got, cell_scores_from_evidence(em, cls, p, grid))
 
 
+    def test_cell_no_window_meets_scores_plus_zero(self):
+        # the windows of a one-column map never reach the right-hand cells:
+        # their negative evidence times a zero overlap is -0.0, and the sum
+        # starts from +0.0, as numpy's and the reference's do
+        from bagnet.model import EvidenceMap
+        from oracles import reference_cell_scores
+        logits = -np.arange(1, 13, dtype=np.float32).reshape(3, 4, 1)
+        em = EvidenceMap(logits, 1, 2, 1, (6, 6))
+        got = cell_scores_from_evidence(em, 2, 3, (2, 2))
+        assert got.tobytes() == reference_cell_scores(em, 2, 3, (2, 2)).tobytes()
+        assert not np.signbit(got[[1, 3]]).any()
+
+
 class TestThresholdSweep:
     def test_clamp_at_minus_infinity_is_vanilla(self, random_model, texture_batch):
         rows = threshold_sweep(random_model, texture_batch, [-np.inf], "clamp", k=1)

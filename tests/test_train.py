@@ -1,7 +1,9 @@
 """Schedule arithmetic, training smoke behavior, evaluation semantics and
 bit-exact checkpointing / resumption."""
 
+import importlib
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -94,6 +96,23 @@ class TestTrainLoop:
         # the per-epoch shuffle regroups batch-norm statistics)
         losses = [r["train_loss"] for r in ckpt.history]
         assert losses[1] == pytest.approx(losses[0], rel=0.05)
+
+    def test_previous_step_graph_is_gone_before_the_next_forward(self, monkeypatch):
+        # a step's graph holds its logits; it must be freed before the next
+        # forward pass, or two graphs share the peak
+        bt = importlib.import_module("bagnet.train")   # `bagnet.train` is also a function
+        real, logits = bt.forward_logits, []
+
+        def forward_logits(model, x):
+            assert all(ref() is None for ref in logits), "an earlier step's graph is alive"
+            out = real(model, x)
+            logits.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(bt, "forward_logits", forward_logits)
+        tr, va = tiny_sets()
+        train(build_model(TINY, seed=1), tr, va, TrainConfig(epochs=2, batch_size=8, seed=0))
+        assert len(logits) == 8
 
     def test_fixed_seed_reproduces_trajectory_bitwise(self):
         tr, va = tiny_sets()
