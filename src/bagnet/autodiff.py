@@ -76,15 +76,22 @@ output's backward closure has consumed it; only leaves (parameters,
 inputs) keep `.grad`. So every gradient array belongs to one node, and
 a closure may write over the one it is handed: `relu` multiplies its
 mask into it, and `add` hands it to its first operand (the second gets
-a copy). In the same way an op output handed to `relu` or to train-mode
-`batch_norm` belongs to that op: when the output comes from an op of
-`_UNREAD_OUTPUTS` (conv2d, batch_norm, add, whose backward never reads
-its own output), relu writes max(x, 0) and batch_norm the deviation
-x - mean over its buffer. relu's backward reads its output, so nothing
-writes over it, and a leaf's buffer is never written. Such an output
-must therefore have that op as its one reader: `model.forward_features`,
-the only caller, hands each output to exactly one op. Nothing here
-changes a number; it frees the buffers that nothing reads again.
+a copy). In the same way an op output handed to `relu`, to train-mode
+`batch_norm`, or as `add`'s first operand belongs to that op: when the
+output comes from an op of `_UNREAD_OUTPUTS` (conv2d, batch_norm, add,
+whose backward never reads its own output), relu writes max(x, 0),
+batch_norm the deviation x - mean and add the sum over its buffer.
+relu's backward reads its output, so nothing writes over it; add never
+writes over its second operand (nor over an operand passed as both);
+and a leaf's buffer is never written. Such an output must therefore
+have that op as its one reader: `model.forward_features`, the only
+caller, hands each output to exactly one op (the residual add takes the
+main path first). Likewise a backward closure holds an array only if
+the gradient it computes reads it: conv2d keeps its patch matrix only
+for a weight that takes a gradient, and linear keeps each operand only
+for the other's gradient, so a frozen-weight pass frees every im2col
+as soon as the forward moves on. Nothing here changes a number; it
+frees the buffers that nothing reads again.
 
 Convolution runs as im2col + matrix multiply. An unpadded 1x1 conv is
 a GEMM on its input: the patch matrix is a view of it at stride 1 and
@@ -151,7 +158,8 @@ _node_ids = itertools.count()
 
 
 # ops whose backward never reads their own output: the one reader of such an
-# output (relu, train-mode batch_norm) may write over its buffer
+# output (relu, train-mode batch_norm, add as first operand) may write over
+# its buffer
 _UNREAD_OUTPUTS = frozenset({"conv2d", "batch_norm", "add"})
 
 # decorator: no numpy floating-point warnings inside; _check_finite reports
@@ -277,7 +285,9 @@ def _common_dtype(*tensors: Tensor):
 
 @_quiet
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two same-shape tensors; gradients pass to both."""
+    """Elementwise sum of two same-shape tensors; gradients pass to both.
+    Writes over the buffer of an `_UNREAD_OUTPUTS` first operand, never the
+    second's (buffer ownership, module docstring)."""
     if a.shape != b.shape:
         raise DimensionError(f"add shape mismatch {a.shape} vs {b.shape}")
     _common_dtype(a, b)
@@ -289,7 +299,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, g)
 
-    return _result(a.data + b.data, "add", (a, b), bw)
+    own = a.op in _UNREAD_OUTPUTS and a is not b
+    return _result(np.add(a.data, b.data, out=a.data if own else None), "add", (a, b), bw)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -437,11 +448,13 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, zero_pad: int = 0,
     out = np.matmul(wm, cols).reshape(n, cout, hout, wout)
     if fold is not None:
         out += fold.shift
+    # only the weight gradient reads the patch matrix: a frozen weight frees it
+    saved_cols = cols if weight.requires_grad else None
 
     def bw(g):
         gm = g.reshape(n, cout, hout * wout)
         if weight.requires_grad:
-            gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0, dtype=np.float64)
+            gw = np.matmul(gm, saved_cols.transpose(0, 2, 1)).sum(axis=0, dtype=np.float64)
             _accumulate(weight, gw.reshape(weight.shape))
         if x.requires_grad:
             gcols = np.matmul(wm.T, gm)
@@ -588,13 +601,16 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     out64 = x64 @ w64.T
     if bias is not None:
         out64 = out64 + bias.data.astype(np.float64)[None, :]
+    # each gradient reads the other operand only
+    saved_w64 = w64 if x.requires_grad else None
+    saved_x64 = x64 if weight.requires_grad else None
 
     def bw(g):
         g64 = g.astype(np.float64)
         if x.requires_grad:
-            _accumulate(x, g64 @ w64)
+            _accumulate(x, g64 @ saved_w64)
         if weight.requires_grad:
-            _accumulate(weight, g64.T @ x64)
+            _accumulate(weight, g64.T @ saved_x64)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g64.sum(axis=0))
 

@@ -361,6 +361,7 @@ def forward_features(model: ModelState, x: Tensor, stem_pad: Optional[int] = Non
         # pad-0 3x3 middle convs shrink the main path; align the shortcut
         # to the top-left window anchor
         short = crop2d(short, main.shape[2], main.shape[3])
+        # main goes first: the add, its one reader, writes the sum over it
         h = relu(add(main, short))
     return h
 
@@ -400,8 +401,9 @@ _pass_pool = ThreadPoolExecutor(PASSES_IN_FLIGHT, thread_name_prefix="bagnet-pas
 # per-image im2col matrix or activation, so passes stay in cache and memory
 # is bounded whatever the number of rows. Input-gradient passes
 # (input_gradients) take as many rows, but each keeps its whole backward
-# graph, about 0.9 MB per bagnet9_32 row at 32 px: far above this budget, yet
-# still bounded whatever the number of rows
+# graph, about 0.54 MiB per bagnet9_32 row at 32 px (tracemalloc peak of an
+# 18-row pass): far above this budget, yet still bounded whatever the number
+# of rows
 PASS_BYTES = 4 << 20
 
 

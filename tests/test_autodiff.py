@@ -15,6 +15,7 @@ from bagnet.autodiff import (
     NumericalError,
     Parameter,
     Tensor,
+    _UNREAD_OUTPUTS,
     _im2col,
     add,
     batch_norm,
@@ -434,6 +435,66 @@ class TestBufferOwnership:
         weighted_sum(out, rng.standard_normal(out.shape)).backward()
         assert r.data.tobytes() == kept.tobytes()
 
+    def test_add_takes_the_buffer_of_a_first_operand_only_it_reads(self):
+        rng = np.random.default_rng(17)
+        x, w = rand(rng, (2, 3, 6, 6)), rand(rng, (4, 3, 3, 3))
+        gamma, beta = rand(rng, (4,)), rand(rng, (4,))
+        other = rand(rng, (2, 4, 4, 4))
+        c = conv2d(x, w)
+        want = c.data + other.data
+        s = add(c, other)
+        assert np.shares_memory(s.data, c.data)
+        np.testing.assert_array_equal(s.data, want)
+        bn = batch_norm(conv2d(x, w), gamma, beta, BatchNormState(4), True)
+        assert np.shares_memory(add(bn, other).data, bn.data)
+        s = add(conv2d(x, w), other)
+        assert np.shares_memory(add(s, other).data, s.data)
+        assert {"conv2d", "batch_norm", "add"} == _UNREAD_OUTPUTS
+
+    def test_add_never_writes_over_a_leaf_a_relu_output_or_its_second_operand(self):
+        # relu's backward reads its output, and the second operand may have
+        # other readers: both stay intact through the forward and backward
+        rng = np.random.default_rng(18)
+        x, w = rand(rng, (2, 3, 6, 6)), rand(rng, (4, 3, 3, 3))
+        other = rand(rng, (2, 4, 4, 4))
+        r = relu(conv2d(x, w))
+        c = conv2d(x, w)
+        kept = [t.data.copy() for t in (other, r, c)]
+        outs = [add(other, c), add(r, c), add(conv2d(x, w), c)]
+        assert not np.shares_memory(outs[0].data, other.data)
+        assert not np.shares_memory(outs[1].data, r.data)
+        for out in outs:
+            assert not np.shares_memory(out.data, c.data)
+        twice = conv2d(x, w)
+        assert not np.shares_memory(add(twice, twice).data, twice.data)
+        for out in outs:
+            weighted_sum(out, rng.standard_normal(out.shape)).backward()
+        for t, was in zip((other, r, c), kept):
+            assert t.data.tobytes() == was.tobytes()
+
+    def test_frozen_weight_conv_closure_holds_no_im2col(self):
+        # only the weight gradient reads the patch matrix
+        rng = np.random.default_rng(19)
+        x = rand(rng, (2, 3, 8, 8))
+        for k, stride, pad in ((3, 1, 1), (3, 2, 0), (1, 2, 0)):
+            cols_shape = _im2col(x.data, k, stride, pad)[0].shape
+            for w_grad in (False, True):
+                w = rand(rng, (4, 3, k, k), grad=w_grad)
+                out = conv2d(x, w, stride=stride, zero_pad=pad)
+                held = [cell.cell_contents for cell in out._backward.__closure__]
+                shapes = [a.shape for a in held if isinstance(a, np.ndarray)]
+                assert (cols_shape in shapes) == w_grad, (k, stride, pad, w_grad)
+
+    def test_linear_closure_holds_each_operand_only_for_the_other_gradient(self):
+        rng = np.random.default_rng(20)
+        for x_grad, w_grad in ((True, False), (False, True), (True, True)):
+            x, w = rand(rng, (3, 5), grad=x_grad), rand(rng, (2, 5), grad=w_grad)
+            out = linear(x, w)
+            held = [cell.cell_contents for cell in out._backward.__closure__]
+            shapes = [a.shape for a in held if isinstance(a, np.ndarray)]
+            assert ((3, 5) in shapes) == w_grad
+            assert ((2, 5) in shapes) == x_grad
+
     def test_relu_gradient_keeps_negative_zero(self):
         # the mask multiplies into the gradient, so the signs of zeros are
         # those of g * mask: -0.0 * 1 and -1.0 * 0 are both -0.0
@@ -653,6 +714,31 @@ def test_gradient_relu_over_add(seed):
     r = rng.standard_normal(a0.shape)
     r = _clear_of_kink(a0 + b0, np.concatenate([a0, b0]), 1.0, r)
     _fd_each(lambda t: weighted_sum(relu(add(t[0], t[1])), r), [a0, b0], seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_gradient_residual_add_over_batch_norm_outputs(seed):
+    # add writes the sum over the main path's batch-norm output (which wrote
+    # its deviation over the conv output), relu writes over the sum; the
+    # cropped shortcut is the second operand. Terms near the relu kink are
+    # dropped from r
+    rng = np.random.default_rng(seed + 1100)
+    x0 = rng.standard_normal((2, 2, 5, 5))
+    w10, w20 = rng.standard_normal((3, 2, 3, 3)), rng.standard_normal((3, 2, 1, 1))
+    gamma10, gamma20 = rng.uniform(0.5, 1.0, 3), rng.uniform(0.5, 1.0, 3)
+    beta10 = np.array([8.0, -8.0, 8.0]) + rng.uniform(-0.5, 0.5, 3)
+    beta20 = rng.uniform(-0.5, 0.5, 3)
+    arrays = [x0, w10, w20, gamma10, beta10, gamma20, beta20]
+
+    def block(t):
+        main = batch_norm(conv2d(t[0], t[1]), t[3], t[4], BatchNormState(3), training=True)
+        short = batch_norm(conv2d(t[0], t[2]), t[5], t[6], BatchNormState(3), training=True)
+        return add(main, crop2d(short, 3, 3))
+
+    pre = block([Tensor(a, dtype=np.float64) for a in arrays]).data
+    r = rng.standard_normal(pre.shape) * (np.abs(pre) > 1.0)
+    assert np.count_nonzero(r) > r.size // 2
+    _fd_each(lambda t: weighted_sum(relu(block(t)), r), arrays, seed)
 
 
 # ---------------------------------------------------------------------------
