@@ -190,7 +190,7 @@ def cmd_analyze_heatmap(args) -> int:
             f"--image {args.image} is out of range: {args.data} has {ds.count} images")
     if args.cls != "pred":
         itp.check_class(model, args.cls)
-    em = forward_evidence(model, itp.norm_images(model, ds, [args.image])[0])
+    em = forward_evidence(model, ds.images[args.image])
     cls = int(np.argmax(image_logits(em))) if args.cls == "pred" else args.cls
     itp.export_heatmap(em, cls, out / f"heatmap_img{args.image}_class{cls}.ppm")
     print(f"heatmap for image {args.image}, class {cls} -> {out}")

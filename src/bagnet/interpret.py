@@ -18,13 +18,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .autodiff import softmax
-from .data import Dataset, STREAM_ANALYSIS, csv_text, normalize_images, seed_stream
+from .data import Dataset, STREAM_ANALYSIS, csv_text, seed_stream
 from .model import (
     EvidenceMap,
     ModelState,
     batch_logits,
     forward_evidence,
     input_gradients,
+    model_inputs,
     rf_geometry,
     row_logits,
 )
@@ -61,16 +62,17 @@ def check_class(model: ModelState, cls: int) -> None:
 
 
 def norm_images(model: ModelState, dataset: Dataset, indices) -> np.ndarray:
-    return normalize_images(dataset.images[indices], model.norm_mean, model.norm_std)
+    return model_inputs(model, dataset.images[indices])
 
 
-def analysed(model: ModelState, dataset: Dataset,
-             limit: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The first `limit` images (all when None), normalized, and their labels."""
+def analysed(dataset: Dataset, limit: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The first `limit` stored images (all when None), a view of the uint8
+    pixels that each network pass normalizes for its own rows, and their
+    labels."""
     n = dataset.count if limit is None else min(limit, dataset.count)
     if n < 1:
         raise PreconditionError(f"limit {limit} selects none of the {dataset.count} images")
-    return norm_images(model, dataset, np.arange(n)), dataset.labels[:n].astype(np.int64)
+    return dataset.images[:n], dataset.labels[:n].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +196,7 @@ def interaction_pairs(logits_of: Callable[[int, Callable[[slice], np.ndarray]], 
 def interaction_experiment(model: ModelState, dataset: Dataset, p: int,
                            limit: Optional[int] = None,
                            class_mode: str = "label") -> InteractionResult:
-    images, labels = analysed(model, dataset, limit)
+    images, labels = analysed(dataset, limit)
     spec = MaskSpec(p=p)
     # refuse a bad grid, or one with no two cells or images to correlate, before any pass
     cells = len(selected_cells(spec, dataset.size, dataset.size))
@@ -206,6 +208,7 @@ def interaction_experiment(model: ModelState, dataset: Dataset, p: int,
                                 "images; the additivity test correlates at least 2")
     if class_mode not in ("label", "pred"):
         raise PreconditionError(f"unknown class_mode {class_mode!r}")
+    images = model_inputs(model, images)
     classes = labels if class_mode == "label" else np.argmax(batch_logits(model, images), axis=1)
     lhs, rhs = interaction_pairs(lambda n, build: row_logits(model, n, images.shape[2:], build),
                                  images, classes, spec)
@@ -216,9 +219,10 @@ def interaction_experiment(model: ModelState, dataset: Dataset, p: int,
 # attribution baselines
 
 def saliency(model: ModelState, images: np.ndarray, classes) -> np.ndarray:
-    """|d class logit / d pixel| summed over channels: one [3,H,W] image and
-    its class -> [H, W], or [N,3,H,W] images and a class each -> [N, H, W]."""
-    images = np.asarray(images, dtype=np.float32)
+    """|d class logit / d network input| summed over channels: one [3,H,W]
+    image and its class -> [H, W], or [N,3,H,W] images and a class each ->
+    [N, H, W]; stored pixels or network inputs."""
+    images = np.asarray(images)
     g = input_gradients(model, images.reshape(-1, *images.shape[-3:]), classes)
     return np.abs(g).sum(axis=1).reshape(*images.shape[:-3], *images.shape[-2:])
 
@@ -226,10 +230,12 @@ def saliency(model: ModelState, images: np.ndarray, classes) -> np.ndarray:
 def integrated_gradients(model: ModelState, image: np.ndarray, cls: int,
                          steps: int = 64) -> np.ndarray:
     """Midpoint Riemann sum of gradients along the straight path from the
-    zero image, times the image, channel-summed."""
+    baseline to the image's network input, times that input, channel-summed.
+    The baseline is the zero network input, which is the normalization mean
+    colour, not black pixels."""
     if steps < 8:
         raise PreconditionError("integrated gradients needs steps >= 8")
-    img = np.asarray(image, dtype=np.float32)
+    img = model_inputs(model, image)
     alphas = (np.arange(steps, dtype=np.float64) + 0.5) / steps
     path = alphas[:, None, None, None].astype(np.float32) * img[None]
     grads = input_gradients(model, path, cls)
@@ -311,14 +317,14 @@ def masking_sensitivity(model: ModelState, sources: Sequence[str], dataset: Data
     Cell scores are one [images, trajectories, cells] array; the BagNet's
     come from one evidence call and saliency's from one `saliency` call over
     all images. The masked rows of every trajectory are one `row_logits`
-    call, each pass building its own rows from the ranks and the cell means,
-    so only the passes in flight hold rows. The numbers are those of one
-    pass per trajectory.
+    call, each pass normalizing its own images and building their rows from
+    the ranks and the images' cell means, so only the passes in flight hold
+    rows. The numbers are those of one pass per trajectory.
     """
     check_sources(sources)
     if "random" in sources and random_draws < 1:
         raise PreconditionError(f"random_draws={random_draws}: the random source needs >= 1")
-    images, _ = analysed(model, dataset, limit)
+    images, _ = analysed(dataset, limit)
     n_imgs, size = len(images), dataset.size
     gh, gw = grid_cells(size, size, p, (0, 0))
     if not 0 <= n_max <= gh * gw:
@@ -345,13 +351,16 @@ def masking_sensitivity(model: ModelState, sources: Sequence[str], dataset: Data
     scores = np.concatenate(scores, axis=1)
     ranks = np.argsort(np.argsort(-scores, axis=2, kind="stable"), axis=2)
 
-    fills = cell_means(images, p)[:, :, :, None, :, None]
     shape = (*scores.shape[:2], len(ns))            # a row per image, trajectory and n
 
     def masked_rows(rows: slice) -> np.ndarray:
         img, traj, n = np.unravel_index(np.arange(rows.start, rows.stop), shape)
         masked = (ranks[img, traj] < n[:, None]).reshape(-1, 1, gh, 1, gw, 1)
-        filled = np.where(masked, fills[img], images[img].reshape(-1, 3, gh, p, gw, p))
+        # rows are image-major, so the pass reads the images img[0]..img[-1]
+        x = model_inputs(model, images[img[0]:img[-1] + 1])
+        fills = cell_means(x, p)[:, :, :, None, :, None]
+        img = img - img[0]
+        filled = np.where(masked, fills[img], x[img].reshape(-1, 3, gh, p, gw, p))
         return filled.reshape(-1, 3, size, size)
 
     logits = row_logits(model, np.prod(shape), (size, size), masked_rows).reshape(*shape, -1)
@@ -376,7 +385,7 @@ def threshold_sweep(model: ModelState, dataset: Dataset, thresholds: Sequence[fl
     check_topk(k, model.config.num_classes)
     if np.isnan(thresholds).any():
         raise PreconditionError(f"threshold nan in {list(thresholds)} is not a number")
-    images, labels = analysed(model, dataset, limit)
+    images, labels = analysed(dataset, limit)
     ev = forward_evidence(model, images).logits                 # [n, K, Hm, Wm]
     rows = []
     for m in ("clamp", "binarize") if mode == "both" else (mode,):
@@ -423,7 +432,7 @@ def scramble_test(model: ModelState, dataset: Dataset, seed: int = 0,
             f"config {cfg.name!r} does not tile the input exactly "
             f"(stride {jump} vs q {cfg.q}, offset {offset}, size {dataset.size}); "
             "block scrambling would not be invariant")
-    imgs, labels = analysed(model, dataset, limit)
+    imgs, labels = analysed(dataset, limit)
     rng = seed_stream(seed, STREAM_ANALYSIS, 0x5C2A)
     n_blocks = (dataset.size // cfg.q) ** 2
     scrambled = np.stack([scramble_blocks(im, cfg.q, rng.permutation(n_blocks)) for im in imgs])
@@ -514,7 +523,7 @@ def top_patches(model: ModelState, dataset: Dataset, cls: int, k: int,
     check_class(model, cls)
     if k < 1:
         raise PreconditionError(f"k={k}: top_patches needs k >= 1")
-    images, labels = analysed(model, dataset, limit)
+    images, labels = analysed(dataset, limit)
     em = forward_evidence(model, images)
     ev = em.logits[:, cls]                                # [n, Hm, Wm]
     order = np.argsort(-ev.reshape(-1), kind="stable")   # ties keep (image, i, j) order

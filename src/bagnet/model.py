@@ -8,6 +8,11 @@ and `patch_oracle_evidence` (every q x q patch cropped out and classified
 independently). The oracle is the semantic definition; equality of the
 two is asserted by tests rather than assumed.
 
+Every pass entry point takes stored uint8 pixels or network inputs:
+`model_inputs` is the one place that normalizes pixels with the model's
+constants, and each network pass applies it to its own rows, so a caller
+holds no float copy of its images.
+
 All convolutions inside blocks use zero padding 0, which is what makes
 the per-patch reading exact; only the stem may pad, and stem padding is
 equivalent to padding the input image. Blocks whose 3x3 middle conv
@@ -44,6 +49,7 @@ from .autodiff import (
     spatial_mean,
     weighted_sum,
 )
+from .data import normalize_images
 
 
 class ConfigError(ValueError):
@@ -438,7 +444,7 @@ def run_passes(model: ModelState, n: int, hw: tuple[int, int], fn) -> np.ndarray
     `frozen_params`: slices of `pass_images` rows (one empty slice for n = 0),
     for fn to build and run. The one pass loop and eval-mode check, called
     only in this module: by `_chunked` (forward_evidence, batch_logits,
-    patch_oracle_evidence), `row_logits` and `input_gradients`. One pass runs
+    input_gradients, patch_oracle_evidence) and `row_logits`. One pass runs
     in the calling thread; more run PASSES_IN_FLIGHT at a time on the pass
     pool. Returns or raises when every pass it started has ended, with the
     first error in pass order. fn must not call run_passes: its passes would
@@ -458,42 +464,61 @@ def run_passes(model: ModelState, n: int, hw: tuple[int, int], fn) -> np.ndarray
     return np.concatenate([future.result() for future in futures])
 
 
+def model_inputs(model: ModelState, images) -> np.ndarray:
+    """The network inputs of images: stored uint8 pixels are normalized with
+    the model's `norm_mean` and `norm_std`; anything else already is network
+    input and comes back as float32, with no copy when it is float32."""
+    arr = np.asarray(images)
+    if arr.dtype == np.uint8:
+        arr = normalize_images(arr, model.norm_mean, model.norm_std)
+    return arr.astype(np.float32, copy=False)
+
+
 def _chunked(model: ModelState, images, fn) -> np.ndarray:
-    """Concatenated fn(chunk) over the network passes of an [N,3,H,W] batch."""
-    arr = np.asarray(images, dtype=np.float32)
-    if arr.ndim != 4:
+    """Concatenated fn(x, rows) over the network passes of an [N,3,H,W]
+    batch of stored pixels or network inputs: x is the `model_inputs` of
+    the pass's row slice `rows`, so only the passes in flight hold them."""
+    arr = np.asarray(images)
+    if arr.ndim != 4 or arr.shape[1] != 3:
         raise ConfigError(f"expected an [N,3,H,W] batch, got shape {arr.shape}")
-    return run_passes(model, len(arr), arr.shape[2:], lambda rows: fn(Tensor(arr[rows])))
+    return run_passes(model, len(arr), arr.shape[2:],
+                      lambda rows: fn(model_inputs(model, arr[rows]), rows))
 
 
 def batch_logits(model: ModelState, images) -> np.ndarray:
-    """Image-level logits of a normalized batch: [N,3,H,W] -> [N,K]."""
-    return _chunked(model, images, lambda x: forward_logits(model, x).data)
+    """Image-level logits of a batch: [N,3,H,W] -> [N,K]."""
+    return _chunked(model, images, lambda x, _: forward_logits(model, Tensor(x)).data)
 
 
 def row_logits(model: ModelState, n: int, hw: tuple[int, int], build) -> np.ndarray:
     """Image-level logits of n rows of h x w images -> [n, K], where
-    build(rows) makes the images of a row slice inside its pass, so only
-    the passes in flight hold built rows."""
-    return run_passes(model, n, hw, lambda rows: forward_logits(model, Tensor(build(rows))).data)
+    build(rows) makes the images (pixels or network inputs) of a row slice
+    inside its pass, so only the passes in flight hold built rows."""
+    return run_passes(model, n, hw, lambda rows: forward_logits(
+        model, Tensor(model_inputs(model, build(rows)))).data)
 
 
-def input_gradients(model: ModelState, images: np.ndarray, classes) -> np.ndarray:
-    """d(class logit of each row) / d(input) of [N,3,H,W] images, with one
-    class per row or one for all rows. Runs in the passes of `run_passes`,
-    each keeping its own backward graph; eval-mode BN keeps rows
-    independent, so row k is image k's gradient whatever pass holds it."""
+def input_gradients(model: ModelState, images, classes) -> np.ndarray:
+    """d(class logit of each row) / d(network input) of [N,3,H,W] images,
+    with one class per row or one for all rows; a class outside 0..K-1 is
+    refused before any pass. Each pass keeps its own backward graph;
+    eval-mode BN keeps rows independent, so row k is image k's gradient
+    whatever pass holds it."""
+    k = model.config.num_classes
     classes = np.broadcast_to(classes, len(images))
+    bad = classes[(classes < 0) | (classes >= k)]
+    if bad.size:
+        raise ConfigError(f"class {bad[0]} is out of range: the model has {k} classes")
 
-    def gradient(rows: slice) -> np.ndarray:
-        x = Tensor(images[rows], requires_grad=True)
+    def gradient(x: np.ndarray, rows: slice) -> np.ndarray:
+        x = Tensor(x, requires_grad=True)
         logits = forward_logits(model, x)
         w = np.zeros(logits.shape, dtype=np.float64)
         w[np.arange(len(w)), classes[rows]] = 1.0
         weighted_sum(logits, w).backward()
         return x.grad
 
-    return run_passes(model, len(images), images.shape[2:], gradient)
+    return _chunked(model, images, gradient)
 
 
 @dataclass
@@ -515,25 +540,25 @@ class EvidenceMap:
         return rows[:, None] & cols[None, :]
 
 
-def _single_image(image) -> np.ndarray:
-    arr = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float32)
+def _single_image(model: ModelState, image) -> np.ndarray:
+    arr = np.asarray(image.data if isinstance(image, Tensor) else image)
     if arr.ndim != 3 or arr.shape[0] != 3:
         raise ConfigError(f"expected a [3,H,W] image, got {arr.shape}")
-    return arr.astype(np.float32, copy=False)
+    return model_inputs(model, arr)
 
 
 def forward_evidence(model: ModelState, images) -> EvidenceMap:
-    """Class evidence at every location (no softmax) of one normalized
-    [3,H,W] image or an [N,3,H,W] batch: logits [..., K, Hm, Wm] float32,
-    accumulated in float64."""
-    arr = np.asarray(images, dtype=np.float32)
+    """Class evidence at every location (no softmax) of one [3,H,W] image
+    or an [N,3,H,W] batch, stored pixels or network inputs: logits
+    [..., K, Hm, Wm] float32, accumulated in float64."""
+    arr = np.asarray(images)
     if arr.ndim not in (3, 4) or arr.shape[-3] != 3:
         raise ConfigError(f"expected a [3,H,W] image or an [N,3,H,W] batch, got shape {arr.shape}")
     w64 = model.params["classifier.weight"].value.data.astype(np.float64)
     b64 = model.params["classifier.bias"].value.data.astype(np.float64)
 
-    def classify(x: Tensor) -> np.ndarray:
-        feats = forward_features(model, x).data.astype(np.float64)
+    def classify(x: np.ndarray, _) -> np.ndarray:
+        feats = forward_features(model, Tensor(x)).data.astype(np.float64)
         logits = np.einsum("nfhw,kf->nkhw", feats, w64) + b64[None, :, None, None]
         return logits.astype(np.float32)
 
@@ -551,14 +576,14 @@ def image_logits(evidence: EvidenceMap) -> np.ndarray:
 def aggregate_then_classify(model: ModelState, image) -> np.ndarray:
     """Spatially average features first, then classify. Must match
     image_logits(forward_evidence(...)) - the two linear steps commute."""
-    return batch_logits(model, _single_image(image)[None])[0]
+    return batch_logits(model, _single_image(model, image)[None])[0]
 
 
 def patch_oracle_evidence(model: ModelState, image) -> EvidenceMap:
     """Evidence computed the slow, literal way: crop every q x q window
     (zero-filled where stem padding reaches past the border), run the
     extractor with no padding on each crop independently, classify."""
-    arr = _single_image(image)
+    arr = _single_image(model, image)
     q = model.config.q
     rf, jump, offset = rf_geometry(model.config)
     pad = -offset
@@ -571,7 +596,7 @@ def patch_oracle_evidence(model: ModelState, image) -> EvidenceMap:
         for j in range(wm):
             top, left = i * jump, j * jump
             crops[i * wm + j] = padded[:, top:top + q, left:left + q]
-    feats = _chunked(model, crops, lambda x: forward_features(model, x, stem_pad=0).data)
+    feats = _chunked(model, crops, lambda x, _: forward_features(model, Tensor(x), stem_pad=0).data)
     if feats.shape[2] != 1 or feats.shape[3] != 1:
         raise ConfigError("patch crops did not reduce to a single location")
     w64 = model.params["classifier.weight"].value.data.astype(np.float64)

@@ -5,13 +5,14 @@ correlations, heatmap and patch export."""
 import re
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from bagnet.autodiff import NumericalError
-from bagnet.data import Dataset, synth_texture_dataset
+from bagnet.data import Dataset, channel_stats, synth_texture_dataset
 from bagnet.model import (
     SHIPPED_CONFIGS,
     BagNetConfig,
@@ -26,6 +27,7 @@ from bagnet.model import (
     image_logits,
     input_gradients,
     pass_images,
+    patch_oracle_evidence,
 )
 from bagnet.interpret import (
     MaskSpec,
@@ -876,3 +878,90 @@ class TestOneBatchedPath:
                   for i in range(len(images))]
         assert np.array_equal(lhs, np.concatenate([l for l, _ in single]))
         assert np.array_equal(rhs, np.concatenate([r for _, r in single]))
+
+
+class TestStoredPixels:
+    """Every pass entry point takes stored uint8 pixels and normalizes each
+    pass's rows with the model's constants, so an analysis hands over a view
+    of the dataset and holds no float copy of its images."""
+
+    @pytest.mark.parametrize("config", sorted(SHIPPED_CONFIGS))
+    def test_stored_pixels_equal_normalized_images_bit_for_bit(self, config):
+        model = build_model(SHIPPED_CONFIGS[config](), seed=3)
+        size = model.config.input_size
+        data = synth_texture_dataset(4, 1, size, 3 if size == 33 else 8, seed=12)
+        model.norm_mean, model.norm_std = channel_stats(data)
+        stored, normed = data.images[:3], norm_images(model, data, np.arange(3))
+        classes = np.array([2, 0, 3])
+
+        def same(run):
+            got, want = run(stored), run(normed)
+            assert np.array_equal(got, want)
+
+        same(lambda x: forward_evidence(model, x).logits)
+        same(lambda x: forward_evidence(model, x[1]).logits)
+        same(lambda x: batch_logits(model, x))
+        same(lambda x: input_gradients(model, x, classes))
+        same(lambda x: saliency(model, x, classes))
+        same(lambda x: saliency(model, x[0], 1))
+        same(lambda x: integrated_gradients(model, x[2], 3, steps=8))
+        same(lambda x: aggregate_then_classify(model, x[0]))
+        same(lambda x: patch_oracle_evidence(model, x[1]).logits)
+
+    @pytest.mark.parametrize("cls", [-1, 4])
+    @pytest.mark.parametrize("run", [
+        lambda m, x, cls: saliency(m, x, cls),
+        lambda m, x, cls: saliency(m, x[None].repeat(2, axis=0), [0, cls]),
+        lambda m, x, cls: integrated_gradients(m, x, cls, steps=8),
+    ], ids=["saliency", "batch_saliency", "integrated_gradients"])
+    def test_out_of_range_class_is_refused_before_any_pass(self, random_model, texture_batch,
+                                                           monkeypatch, run, cls):
+        """A negative class would wrap to another class's gradient, K would
+        end in an IndexError inside a pass."""
+        import bagnet.model as bm
+        calls = []
+        original = bm.forward_features
+        monkeypatch.setattr(bm, "forward_features",
+                            lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+        with pytest.raises(ConfigError, match=f"class {cls} is out of range: the model has 4 "):
+            run(random_model, texture_batch.images[0], cls)
+        assert calls == []
+
+    @pytest.fixture(scope="class")
+    def stored(self):
+        """1,024 random stored images at 32 and at 33 px."""
+        rng = np.random.default_rng(13)
+        return {size: Dataset(rng.integers(0, 256, (1024, 3, size, size), dtype=np.uint8),
+                              rng.integers(0, 4, 1024, dtype=np.uint8), list("abcd"), "val")
+                for size in (32, 33)}
+
+    @pytest.mark.parametrize("config,analysis", [
+        (bagnet9_32, lambda m, d, n: threshold_sweep(m, d, [-np.inf, 0.0], "both", limit=n)),
+        (bagnet9_32, lambda m, d, n: top_patches(m, d, 1, k=4, limit=n)),
+        (bagnet9_32, lambda m, d, n: masking_sensitivity(m, ["bagnet"], d, p=8, n_max=1,
+                                                         limit=n)),
+        (bagnet3_33, lambda m, d, n: scramble_test(m, d, limit=n)),
+    ], ids=["threshold_sweep", "top_patches", "masking_sensitivity", "scramble_test"])
+    def test_memory_does_not_grow_with_a_float_copy_of_the_images(self, stored, config,
+                                                                  analysis):
+        """The tracemalloc peak grows by less than 3 MiB from 512 to 1,024
+        analysed images: half a float32 copy of the 512 added images. It
+        grew by 13.2 MiB (scramble) to 19.5 MiB (threshold) when each
+        analysis normalized all its images up front."""
+        model = build_model(config(), seed=7)
+        data = stored[model.config.input_size]
+        model.norm_mean, model.norm_std = channel_stats(data)
+        analysis(model, data, 8)                   # builds the folds and starts the pool
+        peaks = []
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            for n in (512, 1024):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                analysis(model, data, n)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 3 * 2 ** 20, peaks
