@@ -87,11 +87,17 @@ and a leaf's buffer is never written. Such an output must therefore
 have that op as its one reader: `model.forward_features`, the only
 caller, hands each output to exactly one op (the residual add takes the
 main path first). Likewise a backward closure holds an array only if
-the gradient it computes reads it: conv2d keeps its patch matrix only
-for a weight that takes a gradient, and linear keeps each operand only
-for the other's gradient, so a frozen-weight pass frees every im2col
-as soon as the forward moves on. Nothing here changes a number; it
-frees the buffers that nothing reads again.
+the gradient it computes reads it, and never one it can rebuild. conv2d
+holds no patch matrix: its weight gradient rebuilds the im2col from the
+conv's input, a parent the graph holds anyway and that nothing writes
+over (in the model every conv reads a relu output or the input leaf).
+An im2col is a copy, so the rebuilt matrix is the forward's. linear
+keeps each operand only for the other's gradient. So every pass frees
+each im2col as soon as the forward moves on. `crop2d`'s output is a
+view of its input's top-left window, not a copy: in the model its one
+reader is add, as the second operand, which add never writes over and
+no backward reads. Nothing here changes a number; it frees the buffers
+that nothing reads again.
 
 Convolution runs as im2col + matrix multiply. An unpadded 1x1 conv is
 a GEMM on its input: the patch matrix is a view of it at stride 1 and
@@ -172,7 +178,8 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 
 
 class Tensor:
-    """A node of the compute graph: contiguous row-major float data.
+    """A node of the compute graph: contiguous row-major float data, but for
+    a `crop2d` output, a strided view of its input's top-left window.
 
     Leaves are built directly; op outputs carry the op kind, references
     to their input nodes and a backward closure. `node_id` increases
@@ -247,7 +254,7 @@ def _result(data: np.ndarray, op: str, parents: Sequence[Tensor], backward=None)
 def _node(data: np.ndarray, op: str, parents: Sequence[Tensor], backward=None) -> Tensor:
     """The output node of an op whose output is finite whenever its inputs are."""
     out = Tensor.__new__(Tensor)
-    out.data = np.ascontiguousarray(data)
+    out.data = data
     out.grad = None
     out.requires_grad = any(p.requires_grad for p in parents)
     out.op = op
@@ -333,7 +340,10 @@ def weighted_sum(x: Tensor, w: np.ndarray) -> Tensor:
 
 
 def crop2d(x: Tensor, h: int, w: int) -> Tensor:
-    """Keep the top-left h x w spatial window of an [N,C,H,W] tensor."""
+    """Keep the top-left h x w spatial window of an [N,C,H,W] tensor, as a
+    view of the input's buffer: the one op output that is not contiguous.
+    The residual add reads it as its second operand, which it never
+    writes over (buffer ownership, module docstring)."""
     if x.data.ndim != 4 or h > x.shape[2] or w > x.shape[3]:
         raise DimensionError(f"cannot crop {x.shape} to {h}x{w}")
     if (h, w) == x.shape[2:]:
@@ -448,13 +458,15 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, zero_pad: int = 0,
     out = np.matmul(wm, cols).reshape(n, cout, hout, wout)
     if fold is not None:
         out += fold.shift
-    # only the weight gradient reads the patch matrix: a frozen weight frees it
-    saved_cols = cols if weight.requires_grad else None
 
     def bw(g):
         gm = g.reshape(n, cout, hout * wout)
         if weight.requires_grad:
-            gw = np.matmul(gm, saved_cols.transpose(0, 2, 1)).sum(axis=0, dtype=np.float64)
+            # rebuilt from x (buffer ownership, module docstring), and freed
+            # before the input gradient's buffers are taken
+            patches = _im2col(x.data, k, stride, zero_pad)[0]
+            gw = np.matmul(gm, patches.transpose(0, 2, 1)).sum(axis=0, dtype=np.float64)
+            del patches
             _accumulate(weight, gw.reshape(weight.shape))
         if x.requires_grad:
             gcols = np.matmul(wm.T, gm)

@@ -344,12 +344,39 @@ def random_resized_crop(image: np.ndarray, spec: AugmentSpec,
 # ---------------------------------------------------------------------------
 # normalization and batching
 
+# uint8 bytes of the images that channel_stats scales to float64 at a time
+_STATS_CHUNK_BYTES = 1 << 18
+
+
 def channel_stats(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel mean/std of the u8 images scaled to [0,1]. Computed on the
-    training split and reused verbatim everywhere else."""
-    x = dataset.images.astype(np.float64) / 255.0
-    mean = x.mean(axis=(0, 2, 3))
-    std = np.maximum(x.std(axis=(0, 2, 3)), 1e-6)
+    training split and reused verbatim everywhere else.
+
+    The images are scaled a chunk of _STATS_CHUNK_BYTES at a time, so memory
+    does not grow with the image count. Each image's per-channel float64 sum
+    over H x W is added in image order, of the scaled pixels for the mean,
+    then of their squared deviations from it for the std: the arithmetic of
+    `x.mean(axis=(0, 2, 3))` and `x.std(axis=(0, 2, 3))` on the whole scaled
+    array, bit for bit."""
+    images = dataset.images
+    n, c, h, w = images.shape
+    rows = max(1, _STATS_CHUNK_BYTES // (c * h * w))
+
+    def total(center: Optional[np.ndarray] = None) -> np.ndarray:
+        """Per-channel sum of the scaled pixels, or of their squared
+        deviations from `center`."""
+        acc = np.zeros(c)
+        for start in range(0, n, rows):
+            x = images[start:start + rows].astype(np.float64) / 255.0
+            if center is not None:
+                x -= center[:, None, None]
+                x *= x
+            for image_sum in x.sum(axis=(2, 3)):
+                acc += image_sum
+        return acc
+
+    mean = total() / (n * h * w)
+    std = np.maximum(np.sqrt(total(mean) / (n * h * w)), 1e-6)
     return mean.astype(np.float32), std.astype(np.float32)
 
 

@@ -30,6 +30,7 @@ from bagnet.autodiff import (
     spatial_mean,
     weighted_sum,
 )
+from bagnet.model import SHIPPED_CONFIGS, layer_table
 
 from oracles import (
     numerical_gradient,
@@ -205,6 +206,47 @@ class TestElementwise:
             cropped = crop2d(x, 1, 2).data
         np.testing.assert_array_equal(out, [[[[np.nan, np.inf, 0.0], [0.0, 2.0, np.nan]]]])
         np.testing.assert_array_equal(cropped, x.data[:, :, :1, :2])
+
+
+def _shipped_conv_geometries():
+    """(input [C,H,W], weight shape, stride, pad) of every conv of every
+    shipped config, once each."""
+    found = {}
+    for make in SHIPPED_CONFIGS.values():
+        config = make()
+        stem, blocks = layer_table(config)
+        size = config.input_size
+        layers = [(stem, size)]
+        size = (size + 2 * stem.pad - stem.kernel) // stem.stride + 1
+        for conv1, conv2, conv3, shortcut in blocks:
+            after = (size - conv2.kernel) // conv2.stride + 1
+            layers += [(conv1, size), (conv2, size), (conv3, after)]
+            if shortcut is not None:
+                layers.append((shortcut, size))
+            size = after
+        for layer, s in layers:
+            found[((layer.cin, s, s), (layer.cout, layer.cin, layer.kernel, layer.kernel),
+                   layer.stride, layer.pad)] = None
+    return list(found)
+
+
+@pytest.mark.parametrize("geometry", _shipped_conv_geometries(),
+                         ids=lambda g: "{0}x{1}x{2}-k{5}s{6}p{7}-out{3}".format(*g[0], *g[1][:3], *g[2:]))
+def test_rebuilt_weight_gradient_equals_the_saved_patch_formula(geometry):
+    """The backward rebuilds the patch matrix from the input; the weight
+    gradient equals im2col + matmul + float64 batch sum on the forward's
+    patch matrix, bit for bit (stem pad 1, 3x3 stride 2 pad 0, stride 3,
+    1x1 stride 2 and 1x1 views)."""
+    (c, h, w), wshape, stride, pad = geometry
+    rng = np.random.default_rng(sum(wshape) + h)
+    x, weight = rand(rng, (3, c, h, w), grad=False), rand(rng, wshape)
+    out = conv2d(x, weight, stride=stride, zero_pad=pad)
+    r = rng.standard_normal(out.shape).astype(np.float32)
+    weighted_sum(out, r).backward()
+    cols = _im2col(x.data, wshape[2], stride, pad)[0]
+    want = np.matmul(r.reshape(3, wshape[0], -1), cols.transpose(0, 2, 1)).sum(axis=0,
+                                                                          dtype=np.float64)
+    assert weight.grad.tobytes() == want.astype(np.float32).reshape(wshape).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +428,8 @@ class TestBufferOwnership:
                                          "crop2d", "spatial_mean", "linear",
                                          "softmax_cross_entropy"}
         for node in nodes:
+            # every op output is contiguous, but a crop: a view of its input
+            assert node.data.flags.c_contiguous == (node.op != "crop2d"), node.op
             if node.op == "leaf":
                 assert node.grad is not None and node.grad.shape == node.shape
             else:
@@ -472,18 +516,38 @@ class TestBufferOwnership:
         for t, was in zip((other, r, c), kept):
             assert t.data.tobytes() == was.tobytes()
 
-    def test_frozen_weight_conv_closure_holds_no_im2col(self):
-        # only the weight gradient reads the patch matrix
+    def test_conv_closure_holds_no_im2col(self):
+        # the weight gradient rebuilds the patch matrix from the input, so no
+        # closure holds one, whatever the geometry and whichever gradient is
+        # taken; the only array a closure holds is the [Cout, Cin*k*k] matrix
         rng = np.random.default_rng(19)
-        x = rand(rng, (2, 3, 8, 8))
-        for k, stride, pad in ((3, 1, 1), (3, 2, 0), (1, 2, 0)):
-            cols_shape = _im2col(x.data, k, stride, pad)[0].shape
-            for w_grad in (False, True):
+        for k, stride, pad in ((3, 1, 1), (3, 2, 0), (1, 2, 0), (1, 1, 0), (3, 3, 0)):
+            for x_grad, w_grad in ((True, False), (False, True), (True, True)):
+                x = rand(rng, (2, 3, 9, 9), grad=x_grad)
+                cols_shape = _im2col(x.data, k, stride, pad)[0].shape
                 w = rand(rng, (4, 3, k, k), grad=w_grad)
                 out = conv2d(x, w, stride=stride, zero_pad=pad)
                 held = [cell.cell_contents for cell in out._backward.__closure__]
                 shapes = [a.shape for a in held if isinstance(a, np.ndarray)]
-                assert (cols_shape in shapes) == w_grad, (k, stride, pad, w_grad)
+                assert shapes == [(4, 3 * k * k)], (k, stride, pad, x_grad, w_grad, shapes)
+                assert cols_shape not in shapes
+
+    def test_crop_is_a_view_that_add_and_backward_leave_intact(self):
+        # as in a residual block: the shortcut is a train-mode batch-norm
+        # output, its top-left window the second operand of the add
+        rng = np.random.default_rng(21)
+        x, w_main, w_short = rand(rng, (2, 3, 8, 8)), rand(rng, (4, 3, 3, 3)), rand(rng, (4, 3, 1, 1))
+        gamma, beta = rand(rng, (4,)), rand(rng, (4,))
+        main = batch_norm(conv2d(x, w_main), gamma, beta, BatchNormState(4), True)
+        short = batch_norm(conv2d(x, w_short), gamma, beta, BatchNormState(4), True)
+        crop = crop2d(short, 6, 6)
+        assert np.shares_memory(crop.data, short.data)
+        np.testing.assert_array_equal(crop.data, short.data[:, :, :6, :6])
+        kept = short.data.copy()
+        out = relu(add(main, crop))
+        assert not np.shares_memory(out.data, short.data)
+        weighted_sum(out, rng.standard_normal(out.shape)).backward()
+        assert short.data.tobytes() == kept.tobytes()
 
     def test_linear_closure_holds_each_operand_only_for_the_other_gradient(self):
         rng = np.random.default_rng(20)

@@ -3,6 +3,7 @@ texture generator determinism and local decidability, augmentation and
 batching."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,6 +332,58 @@ class TestBatchIterator:
         x, _ = next(batch_iterator(ds, ds.count, 0, 0, stats))
         assert np.abs(x.mean(axis=(0, 2, 3))).max() < 1e-4
         assert np.abs(x.std(axis=(0, 2, 3)) - 1).max() < 1e-3
+
+
+class TestChannelStats:
+    @staticmethod
+    def whole_array_stats(images):
+        """The formula on one float64 copy of every image."""
+        x = images.astype(np.float64) / 255.0
+        mean = x.mean(axis=(0, 2, 3))
+        std = np.maximum(x.std(axis=(0, 2, 3)), 1e-6)
+        return mean.astype(np.float32), std.astype(np.float32)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_chunked_stats_equal_the_whole_array_formula_bit_for_bit(self, seed):
+        # counts on both sides of a chunk boundary, sizes from 1 px to 97 px
+        # (one image per chunk at 97 px), narrow and full pixel ranges
+        rng = np.random.default_rng(seed)
+        size = int(rng.choice([1, 4, 16, 32, 33, 97]))
+        count = int(rng.integers(1, 40 if size == 97 else 300))
+        lo = int(rng.integers(0, 256)) if seed % 2 else 0
+        images = rng.integers(lo, 256, (count, 3, size, size), dtype=np.uint8)
+        ds = Dataset(images, np.zeros(count, dtype=np.uint8), ["a"])
+        for got, want in zip(channel_stats(ds), self.whole_array_stats(images)):
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
+
+    def test_constant_channel_keeps_the_std_floor(self):
+        images = np.full((5, 3, 4, 4), 7, dtype=np.uint8)
+        mean, std = channel_stats(Dataset(images, np.zeros(5, dtype=np.uint8), ["a"]))
+        np.testing.assert_array_equal(std, np.float32(1e-6))
+        np.testing.assert_array_equal(mean, np.float32(7 / 255))
+
+    def test_memory_does_not_grow_with_the_image_count(self):
+        """The tracemalloc peak grows by less than 1 MiB from 512 to 1,024
+        32 px images; a float64 copy of the 512 added images is 12 MiB (the
+        whole-array formula grew by 24 MiB)."""
+        rng = np.random.default_rng(3)
+        images = rng.integers(0, 256, (1024, 3, 32, 32), dtype=np.uint8)
+        labels = np.zeros(1024, dtype=np.uint8)
+        peaks = []
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            for n in (512, 1024):
+                ds = Dataset(images[:n], labels[:n], ["a"])
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                channel_stats(ds)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 ** 20, peaks
 
 
 def test_seed_stream_is_purpose_separated():
